@@ -11,7 +11,8 @@ use crate::synth;
 use jitise_base::SimTime;
 use jitise_ir::Module;
 use jitise_vm::exec_model::ExecModel;
-use jitise_vm::{Interpreter, Profile, RunConfig, Value, VmTier};
+use jitise_vm::{CostModel, Interpreter, PredecodedModule, Profile, RunConfig, Value, VmTier};
+use std::sync::Arc;
 
 /// One input data set.
 #[derive(Debug, Clone)]
@@ -79,36 +80,54 @@ impl App {
         paper_profile(self.name).expect("every app has a paper profile")
     }
 
-    /// Runs one dataset and returns its profile.
+    /// Runs one dataset on the production (fast) tier and returns its
+    /// profile.
     pub fn run_dataset(&self, idx: usize) -> Profile {
-        self.run_dataset_tier(idx, VmTier::Interp)
+        self.run_dataset_tier(idx, VmTier::Fast)
     }
 
     /// Runs one dataset on the given execution tier. Both tiers produce
     /// bit-identical profiles; the fast tier just gets there sooner.
     pub fn run_dataset_tier(&self, idx: usize, tier: VmTier) -> Profile {
-        let ds = &self.datasets[idx];
-        let mut vm = Interpreter::with_config(
-            &self.module,
-            jitise_vm::CostModel::ppc405(),
-            RunConfig::default(),
-        );
+        let mut vm = self.vm();
         vm.set_tier(tier);
+        self.profile_on(&mut vm, idx)
+    }
+
+    /// Profiles every dataset on the production (fast) tier (for coverage
+    /// classification).
+    pub fn profile_all_datasets(&self) -> Vec<Profile> {
+        self.profile_all_datasets_tier(VmTier::Fast)
+    }
+
+    /// Profiles every dataset on the given execution tier. On the fast
+    /// tier the module is pre-decoded once and shared by every dataset.
+    pub fn profile_all_datasets_tier(&self, tier: VmTier) -> Vec<Profile> {
+        let pd = (tier == VmTier::Fast)
+            .then(|| Arc::new(PredecodedModule::build(&self.module, &CostModel::ppc405())));
+        (0..self.datasets.len())
+            .map(|i| {
+                let mut vm = self.vm();
+                match &pd {
+                    Some(pd) => vm.set_predecoded(Arc::clone(pd)),
+                    None => vm.set_tier(tier),
+                }
+                self.profile_on(&mut vm, i)
+            })
+            .collect()
+    }
+
+    /// A fresh VM over this app's module with the PPC405 cost model.
+    fn vm(&self) -> Interpreter<'_> {
+        Interpreter::with_config(&self.module, CostModel::ppc405(), RunConfig::default())
+    }
+
+    /// Runs dataset `idx` on `vm` and takes the resulting profile.
+    fn profile_on(&self, vm: &mut Interpreter<'_>, idx: usize) -> Profile {
+        let ds = &self.datasets[idx];
         vm.run(self.entry, &ds.args)
             .unwrap_or_else(|e| panic!("{}: dataset {} failed: {e}", self.name, ds.name));
         vm.take_profile()
-    }
-
-    /// Profiles every dataset (for coverage classification).
-    pub fn profile_all_datasets(&self) -> Vec<Profile> {
-        self.profile_all_datasets_tier(VmTier::Interp)
-    }
-
-    /// Profiles every dataset on the given execution tier.
-    pub fn profile_all_datasets_tier(&self, tier: VmTier) -> Vec<Profile> {
-        (0..self.datasets.len())
-            .map(|i| self.run_dataset_tier(i, tier))
-            .collect()
     }
 
     /// The scale factor extrapolating the measured train-set profile to the

@@ -4,10 +4,10 @@
 //!
 //! Usage: `cargo run --release -p jitise-bench --bin table1 [--vm-tier interp|fast]`
 //!
-//! `--vm-tier fast` profiles the applications on the pre-decoded dispatch
-//! tier. The table is bit-identical either way (the tiers agree on every
-//! observable — DESIGN.md §15); the flag exists to demonstrate exactly that
-//! while the wall-clock cost of producing the table drops.
+//! The applications are profiled on the production pre-decoded dispatch
+//! tier. `--vm-tier interp` profiles them on the reference interpreter
+//! instead: the table is bit-identical either way (the tiers agree on every
+//! observable — DESIGN.md §15); the flag exists to demonstrate exactly that.
 
 use jitise_apps::Domain;
 use jitise_base::table::{fnum, fpct, TextTable};
@@ -94,33 +94,30 @@ fn push(t: &mut TextTable, r: &Row) {
     ]);
 }
 
-fn parse_tier() -> VmTier {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    let mut tier = VmTier::Interp;
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--vm-tier" => match it.next().map(String::as_str) {
-                Some("interp") => tier = VmTier::Interp,
-                Some("fast") => tier = VmTier::Fast,
-                other => {
-                    eprintln!("table1: --vm-tier expects `interp` or `fast`, got {other:?}");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("table1: unknown argument {other:?}");
+/// Applies `--vm-tier interp|fast` to `ctx`; without the flag the tier
+/// stays at the `EvalContext` default (the fast production tier).
+fn apply_args(ctx: &mut EvalContext) {
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        if a != "--vm-tier" {
+            eprintln!("table1: unknown argument {a:?}");
+            std::process::exit(2);
+        }
+        let value = args.next();
+        match value.as_deref().and_then(VmTier::parse) {
+            Some(tier) => ctx.vm_tier = tier,
+            None => {
+                eprintln!("table1: --vm-tier expects `interp` or `fast`, got {value:?}");
                 std::process::exit(2);
             }
         }
     }
-    tier
 }
 
 fn main() {
     println!("=== Table I: experimental data for scientific and embedded applications ===\n");
     let mut ctx = EvalContext::new();
-    ctx.vm_tier = parse_tier();
+    apply_args(&mut ctx);
     let sci = evaluate_domain(&ctx, Some(Domain::Scientific));
     let emb = evaluate_domain(&ctx, Some(Domain::Embedded));
 

@@ -47,9 +47,12 @@ pub struct EvalContext {
     /// Optional identification memo shared by every search this context
     /// drives (default `None` = no caching).
     pub search_memo: Option<Arc<SearchMemo>>,
-    /// Execution tier for every VM run this context drives (default
-    /// [`VmTier::Interp`]). The fast tier is bit-identical in results,
-    /// cycles, steps, and profiles — it changes only host wall-clock.
+    /// Execution tier for every VM run this context drives: profiling in
+    /// [`evaluate_app`] and the workload runs of `run_adaptive_with`,
+    /// `run_storm` and the serve engine. The default, [`VmTier::Fast`], is
+    /// the production tier; [`VmTier::Interp`] is the reference oracle.
+    /// Both are bit-identical in results, cycles, steps, and profiles —
+    /// the choice changes only host wall-clock.
     pub vm_tier: VmTier,
     /// Overlay cell library for two-tier installs (DESIGN.md §17); `None`
     /// (the default) evaluates the full-only pipeline.
@@ -80,7 +83,7 @@ impl EvalContext {
             cad_workers: 1,
             search_workers: 1,
             search_memo: None,
-            vm_tier: VmTier::Interp,
+            vm_tier: VmTier::Fast,
             overlay: None,
         }
     }
@@ -179,7 +182,6 @@ pub fn evaluate_app(ctx: &EvalContext, app: &App) -> AppEvaluation {
             },
             telemetry: ctx.telemetry.clone(),
             cad_workers: ctx.cad_workers,
-            vm_tier: ctx.vm_tier,
             overlay: ctx.overlay.clone(),
             ..SpecializeConfig::default()
         },

@@ -106,11 +106,9 @@ pub struct SpecializeConfig {
     /// failures are counted by the store's own telemetry), and `None`
     /// (the default) is byte-identical to a storeless run.
     pub store: Option<Arc<Store>>,
-    /// VM execution tier for workload runs driven alongside this
-    /// specialization session (the pipeline itself never executes the
-    /// workload — `run_adaptive`/`run_storm` and the evaluation harness
-    /// read this knob from their own options and keep it in sync here so
-    /// one config carries the full runtime surface, like `cad_workers`).
+    /// Unused: kept only for source compatibility. The pipeline never
+    /// executes the workload; every driver reads its execution tier from
+    /// `EvalContext::vm_tier`.
     pub vm_tier: VmTier,
     /// Overlay cell library for the two-tier install fast path (DESIGN.md
     /// §17). `Some` makes every cache-missing candidate assemble a

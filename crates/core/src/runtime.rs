@@ -88,12 +88,6 @@ pub struct AdaptiveOptions {
     /// implementation and quarantine decision is journaled back. `None`
     /// (the default) leaves the session byte-identical to today.
     pub store: Option<Arc<Store>>,
-    /// Execution tier for every workload run in the session (default
-    /// [`VmTier::Interp`]). The fast tier pre-decodes each binary once —
-    /// base module at session start, specialized module at swap — and is
-    /// bit-identical in results, cycles, and profiles, so fingerprints
-    /// are unchanged; only host wall-clock improves.
-    pub vm_tier: VmTier,
     /// Optional overlay cell library enabling two-tier installation in
     /// every specialization this session runs (initial install and storm
     /// re-specializations alike): candidates go live on a millisecond
@@ -114,7 +108,6 @@ impl Default for AdaptiveOptions {
             search_workers: 1,
             search_memo: None,
             store: None,
-            vm_tier: VmTier::Interp,
             overlay: None,
         }
     }
@@ -257,12 +250,6 @@ pub fn run_adaptive(
     )
 }
 
-/// [`run_adaptive`] with explicit robustness options.
-///
-/// The session *always* terminates with correct workload results: a
-/// worker that dies, panics, stalls past the watchdog, or fails
-/// specialization degrades the session to software-only execution and
-/// records the [`DegradedReason`] instead of propagating the failure.
 /// Builds a workload VM on the session's execution tier. On the fast tier
 /// the module is pre-decoded once (memoized in `pd`) and the decoded form
 /// is shared by every subsequent run of the same binary — the whole point
@@ -416,6 +403,13 @@ impl WorkloadSession {
     }
 }
 
+/// [`run_adaptive`] with explicit robustness options. Workload runs
+/// execute on `ctx.vm_tier`.
+///
+/// The session *always* terminates with correct workload results: a
+/// worker that dies, panics, stalls past the watchdog, or fails
+/// specialization degrades the session to software-only execution and
+/// records the [`DegradedReason`] instead of propagating the failure.
 #[allow(clippy::too_many_arguments)]
 pub fn run_adaptive_with(
     ctx: &EvalContext,
@@ -460,8 +454,7 @@ pub fn run_adaptive_with(
 
     // Per-session workload state: fast-tier pre-decode memos plus run
     // and cycle accounting. Profiling run first.
-    let tier = options.vm_tier;
-    let mut ws = WorkloadSession::new(tier);
+    let mut ws = WorkloadSession::new(ctx.vm_tier);
     let profile = ws.profile_run(module, entry, args, &tel)?;
 
     // Worker-level faults are keyed by the session entry point so stall
@@ -497,7 +490,6 @@ pub fn run_adaptive_with(
         let worker_search_memo = options.search_memo.clone();
         let worker_quarantine = Arc::clone(&options.quarantine);
         let worker_store = options.store.clone();
-        let worker_tier = tier;
         let worker_overlay = options.overlay.clone();
         let watchdog = options.watchdog;
         scope.spawn(move || {
@@ -544,7 +536,6 @@ pub fn run_adaptive_with(
                         quarantine: worker_quarantine,
                         cad_workers: worker_lanes,
                         store: worker_store,
-                        vm_tier: worker_tier,
                         overlay: worker_overlay,
                         ..SpecializeConfig::default()
                     },
@@ -832,7 +823,7 @@ pub fn run_storm(
     // Pre-decoded forms (fast tier only): the base module is decoded once
     // for the whole storm; each installed binary is decoded at its swap
     // and the decode is dropped when a re-specialization replaces it.
-    let tier = options.base.vm_tier;
+    let tier = ctx.vm_tier;
     let mut base_pd: Option<Arc<PredecodedModule>> = None;
     let mut spec_pd: Option<Arc<PredecodedModule>> = None;
 
@@ -870,7 +861,6 @@ pub fn run_storm(
         let worker_search_memo = options.base.search_memo.clone();
         let worker_quarantine = Arc::clone(&options.base.quarantine);
         let worker_store = options.base.store.clone();
-        let worker_tier = tier;
         let worker_overlay = options.base.overlay.clone();
         let worker_slots = options.slots;
         let watchdog = options.base.watchdog;
@@ -911,7 +901,6 @@ pub fn run_storm(
                         quarantine: worker_quarantine,
                         cad_workers: worker_lanes,
                         store: worker_store,
-                        vm_tier: worker_tier,
                         overlay: worker_overlay,
                         ..SpecializeConfig::default()
                     },
@@ -1115,7 +1104,6 @@ pub fn run_storm(
                         quarantine: Arc::clone(&options.base.quarantine),
                         cad_workers: options.base.cad_workers,
                         store: options.base.store.clone(),
-                        vm_tier: tier,
                         overlay: options.base.overlay.clone(),
                         ..SpecializeConfig::default()
                     },
@@ -1684,16 +1672,10 @@ mod tests {
         let m = storm_module(false);
         let schedule = [seg(0, 6), seg(1, 8)];
         let fp = |tier: VmTier| {
-            let ctx = EvalContext::new();
+            let mut ctx = EvalContext::new();
+            ctx.vm_tier = tier;
             let cache = BitstreamCache::new();
-            let opts = StormOptions {
-                base: AdaptiveOptions {
-                    vm_tier: tier,
-                    ..AdaptiveOptions::default()
-                },
-                ..storm_options()
-            };
-            run_storm(&ctx, &cache, &m, "main", &schedule, &opts)
+            run_storm(&ctx, &cache, &m, "main", &schedule, &storm_options())
                 .unwrap()
                 .fingerprint()
         };
@@ -1708,13 +1690,10 @@ mod tests {
     fn adaptive_session_identical_on_fast_tier() {
         let m = hot_module();
         let run = |tier: VmTier| {
-            let ctx = EvalContext::new();
+            let mut ctx = EvalContext::new();
+            ctx.vm_tier = tier;
             let cache = BitstreamCache::new();
-            let opts = AdaptiveOptions {
-                vm_tier: tier,
-                ..AdaptiveOptions::default()
-            };
-            run_adaptive_with(&ctx, &cache, &m, "main", &[Value::I(3_000)], 6, 2, &opts).unwrap()
+            run_adaptive(&ctx, &cache, &m, "main", &[Value::I(3_000)], 6, 2).unwrap()
         };
         let a = run(VmTier::Interp);
         let b = run(VmTier::Fast);

@@ -4,31 +4,34 @@
 //! wall-clock. Every observable of an adaptive or storm session — run
 //! results, cycle accounting, specialization reports, phase decisions,
 //! simulated overhead — must be bit-identical whichever tier executes the
-//! workload. These tests run full sessions once per tier and compare the
-//! outcome fingerprints (which fold in results, cycles, reports, and
-//! degradation state).
+//! workload. These tests run full sessions once on the reference
+//! interpreter and once on the production fast tier (selected through
+//! `EvalContext::vm_tier`) and compare the outcome fingerprints (which
+//! fold in results, cycles, reports, and degradation state).
 
 use jitise_apps::{build_phased, App, PhasedSpec};
 use jitise_core::{
-    run_adaptive_with, run_storm, AdaptiveOptions, BitstreamCache, EvalContext, PhasePolicy,
-    PhaseSegment, StormOptions,
+    run_adaptive, run_storm, BitstreamCache, EvalContext, PhasePolicy, PhaseSegment, StormOptions,
 };
 use jitise_vm::{Value, VmTier};
 
+/// A context on the given tier; everything else at its default.
+fn context(tier: VmTier) -> EvalContext {
+    let mut ctx = EvalContext::new();
+    ctx.vm_tier = tier;
+    ctx
+}
+
 fn adaptive_fingerprint(tier: VmTier) -> String {
     let app = App::build("adpcm").expect("paper app");
-    let outcome = run_adaptive_with(
-        &EvalContext::new(),
+    let outcome = run_adaptive(
+        &context(tier),
         &BitstreamCache::new(),
         &app.module,
         app.entry,
         &app.datasets[0].args,
         4,
         2,
-        &AdaptiveOptions {
-            vm_tier: tier,
-            ..AdaptiveOptions::default()
-        },
     )
     .expect("session terminates");
     outcome.fingerprint()
@@ -55,10 +58,6 @@ fn storm_fingerprint(tier: VmTier) -> String {
         PhaseSegment::new(vec![Value::I(1), Value::I(2)], 8),
     ];
     let options = StormOptions {
-        base: AdaptiveOptions {
-            vm_tier: tier,
-            ..AdaptiveOptions::default()
-        },
         policy: PhasePolicy {
             window: 2,
             cold_share: 0.2,
@@ -70,7 +69,7 @@ fn storm_fingerprint(tier: VmTier) -> String {
         ..StormOptions::default()
     };
     let outcome = run_storm(
-        &EvalContext::new(),
+        &context(tier),
         &BitstreamCache::new(),
         &m,
         "main",

@@ -41,7 +41,7 @@ use jitise_ir::Module;
 use jitise_ise::{SearchConfig, SearchMemo};
 use jitise_store::{Record, Store};
 use jitise_telemetry::{names, HistogramSnapshot, Telemetry, Value as TelValue};
-use jitise_vm::{Value, VmTier};
+use jitise_vm::Value;
 use jitise_woolcano::Woolcano;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -99,8 +99,6 @@ pub struct ServeConfig {
     /// quarantine at start (warm restart) and journals every commit and
     /// eviction during the run.
     pub store: Option<Arc<Store>>,
-    /// Workload execution tier.
-    pub vm_tier: VmTier,
     /// Optional overlay cell library: every tenant's specialization uses
     /// two-tier installation (millisecond overlay install + full-CAD
     /// background upgrade, DESIGN.md §17). `None` keeps the fleet
@@ -131,7 +129,6 @@ impl Default for ServeConfig {
             faults: FaultInjector::disabled(),
             retry: RetryPolicy::default(),
             store: None,
-            vm_tier: VmTier::Interp,
             overlay: None,
             telemetry: Telemetry::disabled(),
         }
@@ -319,6 +316,7 @@ impl CacheLedger {
 /// Runs the full multi-tenant serve session. See the module docs for
 /// the three-layer structure. Never panics on overload or tenant
 /// faults: every tenant terminates with correct workload results.
+/// Workload runs execute on `ctx.vm_tier`.
 pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome> {
     assert!(config.runs_per_tenant >= 2, "need profiling + one more run");
     let mut root = config.telemetry.span("serve.run");
@@ -401,7 +399,7 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
             .clone();
         let args = [Value::I(spec.sel), Value::I(2)];
 
-        let mut ws = WorkloadSession::new(config.vm_tier);
+        let mut ws = WorkloadSession::new(ctx.vm_tier);
         let profile = ws.profile_run(&module, "main", &args, &tel)?;
 
         let mut degraded: Option<DegradedReason> = None;
@@ -438,7 +436,6 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
                     quarantine: Arc::clone(&quarantine),
                     cad_workers: config.cad_workers,
                     store: config.store.clone(),
-                    vm_tier: config.vm_tier,
                     overlay: config.overlay.clone(),
                     ..SpecializeConfig::default()
                 };

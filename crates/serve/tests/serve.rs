@@ -7,7 +7,9 @@
 //! 3. per-tenant deadline budgets degrade only the exhausted tenant;
 //! 4. a **crash storm** — store death mid-serve plus burst CAD faults —
 //!    recovers to exactly the committed prefix on warm restart, with no
-//!    cross-tenant corruption, and the service keeps serving.
+//!    cross-tenant corruption, and the service keeps serving;
+//! 5. the production fast VM tier is **bit-identical to the reference
+//!    interpreter** at fleet scale.
 
 use jitise_base::SimTime;
 use jitise_core::DegradedReason;
@@ -15,7 +17,7 @@ use jitise_core::EvalContext;
 use jitise_faults::{Bursts, CrashSwitch, FaultInjector, FaultPlan, StoreCrash};
 use jitise_serve::{fleet, run_serve, workload_module, Admission, ServeConfig, ServeOutcome};
 use jitise_store::{Store, StoreOptions, TempDir};
-use jitise_vm::{Interpreter, Value};
+use jitise_vm::{Interpreter, Value, VmTier};
 use std::sync::Arc;
 
 /// A small overloaded fleet: four slots and a two-deep defer queue under
@@ -185,6 +187,30 @@ fn deadline_exhaustion_degrades_only_that_tenant_tier() {
     )
     .unwrap();
     assert_eq!(out.fingerprint(), out8.fingerprint());
+}
+
+/// The production fast VM tier (the `EvalContext` default) must leave
+/// every lane-invariant fleet observable bit-identical to the reference
+/// interpreter: answers, cycle-derived speedups, cache hits, admission.
+#[test]
+fn fleet_is_bit_identical_across_vm_tiers() {
+    let config = small_config(2011, 2, None);
+    let fast_ctx = EvalContext::new();
+    assert_eq!(
+        fast_ctx.vm_tier,
+        VmTier::Fast,
+        "fast is the production tier"
+    );
+    let fast = run_serve(&fast_ctx, &config).unwrap();
+    let mut oracle_ctx = EvalContext::new();
+    oracle_ctx.vm_tier = VmTier::Interp;
+    let oracle = run_serve(&oracle_ctx, &config).unwrap();
+    assert!(fast.cache_hits >= 1, "shared cache never hit");
+    assert_eq!(
+        fast.fingerprint(),
+        oracle.fingerprint(),
+        "the fast tier changed a fleet observable"
+    );
 }
 
 /// Acceptance criterion for two-tier installation at fleet scale: with
