@@ -24,7 +24,7 @@
 use crate::bitgen::{bitgen, Bitstream};
 use crate::fabric::Fabric;
 use crate::place::{check_legal, place, PlaceEffort, Placement};
-use crate::route::{route, RouteEffort, RoutedDesign};
+use crate::route::{check_connected, route, RouteEffort, RoutedDesign};
 use crate::techmap::{netlist_complexity, synthesize_top};
 use crate::timing::{analyze, TimingReport};
 use jitise_base::hash::SigHasher;
@@ -346,9 +346,11 @@ pub fn run_flow_accounted(
     drop(map_span);
 
     // 5. PAR: real placement + routing; time = map × complexity ratio.
-    // A failure anywhere inside PAR (placement, legality, routing) has
-    // still paid the full PAR runtime: the tools die at the end of the
-    // stage, not before starting it.
+    // A failure anywhere inside PAR (placement, legality, routing,
+    // connectivity) has still paid the full PAR runtime: the tools die at
+    // the end of the stage, not before starting it. The `cad.place` and
+    // `cad.route` children carry host time only; SimTime stays on
+    // `cad.par`.
     let par_ratio = PAR_RATIO_MIN + (PAR_RATIO_MAX - PAR_RATIO_MIN) * norm;
     let par_t = SimTime::from_secs_f64(
         (map_s * par_ratio * (1.0 + 0.02 * jitter(&project.name, 5))) * scale,
@@ -357,11 +359,16 @@ pub fn run_flow_accounted(
     par_span.set_sim_time(par_t);
     spent.par += par_t;
     let par_stage = || -> Result<(Placement, RoutedDesign)> {
-        let placement: Placement = place(fabric, &flat, opts.place_effort, opts.seed)?;
-        check_legal(fabric, &flat, &placement)?;
+        let placement: Placement = {
+            let _place_span = par_span.child("cad.place");
+            let placement = place(fabric, &flat, opts.place_effort, opts.seed)?;
+            check_legal(fabric, &flat, &placement)?;
+            placement
+        };
         if let Some(e) = injected_failure(tel, &opts.faults, FaultSite::CadPlace, &project.name) {
             return Err(e);
         }
+        let _route_span = par_span.child("cad.route");
         let routed: RoutedDesign = route(fabric, &flat, &placement, opts.route_effort)?;
         tel.add(names::PLACER_MOVES, placement.moves);
         tel.add(names::PLACER_ACCEPTS, placement.accepted);
@@ -379,6 +386,7 @@ pub fn run_flow_accounted(
                 routed.overflow
             )));
         }
+        check_connected(fabric, &flat, &placement, &routed)?;
         if let Some(e) = injected_failure(tel, &opts.faults, FaultSite::CadRoute, &project.name) {
             return Err(e);
         }
@@ -594,6 +602,29 @@ mod tests {
             "bitgen never ran"
         );
         assert_eq!(err.spent.par, SimTime::ZERO, "PAR never started");
+    }
+
+    #[test]
+    fn place_and_route_spans_are_host_only_children_of_par() {
+        let fabric = Fabric::pr_region();
+        let opts = FlowOptions {
+            telemetry: Telemetry::enabled(),
+            ..FlowOptions::fast()
+        };
+        run_flow(&fabric, &small_project(), &opts).unwrap();
+        let snap = opts.telemetry.snapshot();
+        let par: Vec<_> = snap.spans.iter().filter(|s| s.name == "cad.par").collect();
+        assert_eq!(par.len(), 1);
+        assert!(par[0].sim_ns.is_some(), "PAR carries the SimTime");
+        for name in ["cad.place", "cad.route"] {
+            let s = snap
+                .spans
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap_or_else(|| panic!("{name} span recorded"));
+            assert_eq!(s.parent, Some(par[0].id), "{name} nests under cad.par");
+            assert_eq!(s.sim_ns, None, "{name} carries no SimTime");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::fabric::{Fabric, SiteKind};
 use jitise_base::rng::XorShift128Plus;
 use jitise_base::{Error, Result};
-use jitise_pivpav::{CellKind, Netlist};
+use jitise_pivpav::{CellKind, Netlist, PortDir};
 
 /// A legal placement.
 #[derive(Debug, Clone)]
@@ -66,6 +66,29 @@ struct NetPins {
     net_fixed: Vec<Vec<u32>>,
 }
 
+/// The fixed pin tile of every module-port bit, as `(net, tile)` in port
+/// order: inputs pin to the west fabric edge and outputs to the east edge,
+/// each spread over the rows.
+pub(crate) fn port_pins<'a>(
+    fabric: &'a Fabric,
+    nl: &'a Netlist,
+) -> impl Iterator<Item = (u32, u32)> + 'a {
+    let mut in_row = 0u32;
+    let mut out_row = 0u32;
+    nl.ports
+        .iter()
+        .flat_map(|p| p.nets.iter().map(move |&net| (p.dir, net)))
+        .map(move |(dir, net)| {
+            let (x, row) = match dir {
+                PortDir::In => (0, &mut in_row),
+                PortDir::Out => (fabric.width - 1, &mut out_row),
+            };
+            let tile = fabric.tile_at(x, *row % fabric.height);
+            *row += 1;
+            (net, tile)
+        })
+}
+
 fn build_pins(fabric: &Fabric, nl: &Netlist) -> NetPins {
     let n = nl.num_nets as usize;
     let mut net_cells = vec![Vec::new(); n];
@@ -76,24 +99,8 @@ fn build_pins(fabric: &Fabric, nl: &Netlist) -> NetPins {
             net_cells[inp as usize].push(i as u32);
         }
     }
-    // Ports pin to the west (inputs) / east (outputs) fabric edge, spread
-    // over rows.
-    let mut in_row = 0u32;
-    let mut out_row = 0u32;
-    for p in &nl.ports {
-        for &net in &p.nets {
-            match p.dir {
-                jitise_pivpav::PortDir::In => {
-                    net_fixed[net as usize].push(fabric.tile_at(0, in_row % fabric.height));
-                    in_row += 1;
-                }
-                jitise_pivpav::PortDir::Out => {
-                    net_fixed[net as usize]
-                        .push(fabric.tile_at(fabric.width - 1, out_row % fabric.height));
-                    out_row += 1;
-                }
-            }
-        }
+    for (net, tile) in port_pins(fabric, nl) {
+        net_fixed[net as usize].push(tile);
     }
     for cells in net_cells.iter_mut() {
         cells.dedup();

@@ -5,15 +5,24 @@
 //! have a capacity, and overuse raises an edge's cost on the next
 //! iteration until every channel is legal or the iteration budget runs
 //! out.
+//!
+//! Host path (DESIGN.md §3, "Router host path"): edge costs are computed
+//! at relaxation time, per-tile search state lives in stamped scratch
+//! reused by every search of one [`route`] call, and while every edge
+//! costs exactly 1.0 the search expands breadth-first layers instead of
+//! running the heap. Each of these reproduces the heap search's
+//! `(key, tile)` pop order, so routes are identical to a plain Dijkstra
+//! over a materialized cost vector (`crates/cad/tests/route_oracle.rs`).
 
 use crate::fabric::Fabric;
-use crate::place::Placement;
+use crate::place::{port_pins, Placement};
 use jitise_base::{Error, Result};
 use jitise_pivpav::Netlist;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One routed net: the set of edges its tree occupies.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoutedNet {
     /// Edge ids of the routing tree.
     pub edges: Vec<u32>,
@@ -22,7 +31,7 @@ pub struct RoutedNet {
 }
 
 /// The routing result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutedDesign {
     /// One route per net (index = net id; unused nets empty).
     pub nets: Vec<RoutedNet>,
@@ -65,22 +74,8 @@ fn net_terminals(fabric: &Fabric, nl: &Netlist, placement: &Placement) -> Vec<Ve
             terminals[inp as usize].push(t);
         }
     }
-    let mut in_row = 0u32;
-    let mut out_row = 0u32;
-    for p in &nl.ports {
-        for &net in &p.nets {
-            match p.dir {
-                jitise_pivpav::PortDir::In => {
-                    terminals[net as usize].push(fabric.tile_at(0, in_row % fabric.height));
-                    in_row += 1;
-                }
-                jitise_pivpav::PortDir::Out => {
-                    terminals[net as usize]
-                        .push(fabric.tile_at(fabric.width - 1, out_row % fabric.height));
-                    out_row += 1;
-                }
-            }
-        }
+    for (net, tile) in port_pins(fabric, nl) {
+        terminals[net as usize].push(tile);
     }
     for t in terminals.iter_mut() {
         t.sort_unstable();
@@ -89,71 +84,205 @@ fn net_terminals(fabric: &Fabric, nl: &Netlist, placement: &Placement) -> Vec<Ve
     terminals
 }
 
-/// Routes one net as a BFS-grown Steiner tree under the given edge costs.
-fn route_net(fabric: &Fabric, terminals: &[u32], cost: &[f64]) -> RoutedNet {
+/// `(neighbor, edge id)` pairs of every tile in [`Fabric::neighbors`]
+/// order, packed tile after tile.
+struct Adjacency {
+    /// `links[start[t]..start[t + 1]]` are tile `t`'s pairs.
+    start: Vec<u32>,
+    links: Vec<(u32, u32)>,
+}
+
+impl Adjacency {
+    fn new(fabric: &Fabric) -> Adjacency {
+        let mut start = Vec::with_capacity(fabric.num_tiles() as usize + 1);
+        let mut links = Vec::with_capacity(2 * fabric.num_edges() as usize);
+        for t in 0..fabric.num_tiles() {
+            start.push(links.len() as u32);
+            links.extend(
+                fabric
+                    .neighbors(t)
+                    .into_iter()
+                    .map(|nb| (nb, fabric.edge_id(t, nb))),
+            );
+        }
+        start.push(links.len() as u32);
+        Adjacency { start, links }
+    }
+
+    fn of(&self, tile: u32) -> &[(u32, u32)] {
+        let t = tile as usize;
+        &self.links[self.start[t] as usize..self.start[t + 1] as usize]
+    }
+}
+
+/// Negotiated edge cost: base 1 + congestion history + current-use
+/// pressure. Occupancy only changes between nets, so evaluating it at
+/// relaxation time equals evaluating it once per net.
+struct EdgeCost<'a> {
+    history: &'a [f64],
+    occupancy: &'a [u32],
+    channel_width: u32,
+}
+
+impl EdgeCost<'_> {
+    fn of(&self, e: u32) -> f64 {
+        let over = self.occupancy[e as usize].saturating_sub(self.channel_width) as f64;
+        1.0 + self.history[e as usize] + 4.0 * over
+    }
+}
+
+/// Fixed-point heap key of a path cost (1/1024 resolution). The search
+/// pops entries in ascending `(key, tile)` order.
+fn key(d: f64) -> u64 {
+    (d * 1024.0) as u64
+}
+
+/// Per-tile search state shared by every search of one [`route`] call.
+/// An entry is valid only where its stamp equals the current generation,
+/// so nothing is cleared between searches or nets. Generations start at 1
+/// and the stamps at 0.
+struct Scratch {
+    /// Path cost from the tree; valid where `reached == search`.
+    dist: Vec<f64>,
+    /// Predecessor tile and the edge to it; valid where `reached == search`.
+    prev: Vec<(u32, u32)>,
+    reached: Vec<u32>,
+    search: u32,
+    /// `== net` where the tile is in the current net's tree.
+    in_tree: Vec<u32>,
+    /// `== net` where the tile is a terminal still to be connected.
+    pending: Vec<u32>,
+    net: u32,
+    heap: BinaryHeap<Reverse<u128>>,
+    layer: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl Scratch {
+    fn new(num_tiles: usize) -> Scratch {
+        Scratch {
+            dist: vec![f64::INFINITY; num_tiles],
+            prev: vec![(u32::MAX, u32::MAX); num_tiles],
+            reached: vec![0; num_tiles],
+            search: 0,
+            in_tree: vec![0; num_tiles],
+            pending: vec![0; num_tiles],
+            net: 0,
+            heap: BinaryHeap::new(),
+            layer: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+
+    /// Uniform-cost search from every tree tile to the first pending
+    /// terminal it pops: Dijkstra keyed by [`key`] with ties broken by
+    /// tile id, one `u128` heap entry `key << 32 | tile` per push.
+    fn dijkstra(&mut self, adj: &Adjacency, tree: &[u32], cost: &EdgeCost) -> Option<u32> {
+        self.heap.clear();
+        for &t in tree {
+            self.reached[t as usize] = self.search;
+            self.dist[t as usize] = 0.0;
+            self.heap.push(Reverse(t as u128));
+        }
+        while let Some(Reverse(entry)) = self.heap.pop() {
+            let tile = entry as u32;
+            let d = self.dist[tile as usize];
+            if (entry >> 32) as u64 > key(d) {
+                continue; // stale: the tile was re-pushed with a lower key
+            }
+            if self.pending[tile as usize] == self.net {
+                return Some(tile);
+            }
+            for &(nb, e) in adj.of(tile) {
+                let nd = d + cost.of(e);
+                let n = nb as usize;
+                if self.reached[n] != self.search || nd < self.dist[n] {
+                    self.reached[n] = self.search;
+                    self.dist[n] = nd;
+                    self.prev[n] = (tile, e);
+                    self.heap
+                        .push(Reverse((key(nd) as u128) << 32 | nb as u128));
+                }
+            }
+        }
+        None
+    }
+
+    /// [`Scratch::dijkstra`] when every edge costs exactly 1.0: a tile's
+    /// key is 1024 × its hop count, so the heap pops whole hop layers in
+    /// ascending tile order and never holds a stale entry. Expanding
+    /// sorted layers reproduces that order, the first pending terminal
+    /// popped, and every predecessor.
+    fn breadth_first(&mut self, adj: &Adjacency, tree: &[u32]) -> Option<u32> {
+        self.layer.clear();
+        self.layer.extend_from_slice(tree);
+        self.layer.sort_unstable();
+        for &t in tree {
+            self.reached[t as usize] = self.search;
+        }
+        while !self.layer.is_empty() {
+            self.next.clear();
+            for &tile in &self.layer {
+                if self.pending[tile as usize] == self.net {
+                    return Some(tile);
+                }
+                for &(nb, e) in adj.of(tile) {
+                    if self.reached[nb as usize] != self.search {
+                        self.reached[nb as usize] = self.search;
+                        self.prev[nb as usize] = (tile, e);
+                        self.next.push(nb);
+                    }
+                }
+            }
+            self.next.sort_unstable();
+            std::mem::swap(&mut self.layer, &mut self.next);
+        }
+        None
+    }
+}
+
+/// Routes one net as a BFS-grown Steiner tree. `cost` is `None` when every
+/// edge costs exactly 1.0.
+fn route_net(
+    adj: &Adjacency,
+    terminals: &[u32],
+    cost: Option<&EdgeCost>,
+    s: &mut Scratch,
+) -> RoutedNet {
     let mut out = RoutedNet::default();
     if terminals.len() < 2 {
         out.tiles = terminals.to_vec();
         return out;
     }
-    // Grow a tree: start from the first terminal; repeatedly run a BFS
-    // (uniform-cost search) from the current tree to the nearest
-    // unconnected terminal.
-    let mut in_tree = vec![false; fabric.num_tiles() as usize];
-    in_tree[terminals[0] as usize] = true;
+    // Grow a tree: start from the first terminal; repeatedly search from
+    // the current tree to the nearest unconnected terminal.
+    s.net += 1;
+    s.in_tree[terminals[0] as usize] = s.net;
     out.tiles.push(terminals[0]);
-    let mut remaining: Vec<u32> = terminals[1..].to_vec();
-
-    while !remaining.is_empty() {
-        // Dijkstra from all tree tiles simultaneously.
-        let n = fabric.num_tiles() as usize;
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev = vec![u32::MAX; n];
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>> =
-            Default::default();
-        for t in 0..n {
-            if in_tree[t] {
-                dist[t] = 0.0;
-                heap.push(std::cmp::Reverse((0, t as u32)));
-            }
-        }
-        let key = |d: f64| (d * 1024.0) as u64;
-        let mut reached: Option<u32> = None;
-        while let Some(std::cmp::Reverse((dk, tile))) = heap.pop() {
-            if dk > key(dist[tile as usize]) {
-                continue;
-            }
-            if remaining.contains(&tile) {
-                reached = Some(tile);
-                break;
-            }
-            for nb in fabric.neighbors(tile) {
-                let e = fabric.edge_id(tile, nb);
-                let nd = dist[tile as usize] + cost[e as usize];
-                if nd < dist[nb as usize] {
-                    dist[nb as usize] = nd;
-                    prev[nb as usize] = tile;
-                    heap.push(std::cmp::Reverse((key(nd), nb)));
-                }
-            }
-        }
+    for &t in &terminals[1..] {
+        s.pending[t as usize] = s.net;
+    }
+    for _ in 1..terminals.len() {
+        s.search += 1;
+        let reached = match cost {
+            None => s.breadth_first(adj, &out.tiles),
+            Some(cost) => s.dijkstra(adj, &out.tiles, cost),
+        };
         let target = match reached {
             Some(t) => t,
             None => break, // disconnected (cannot happen on a grid)
         };
-        // Trace back into the tree.
+        // Trace back into the tree. Every tile off the tree was reached
+        // in this search, so its predecessor is valid.
         let mut cur = target;
-        while !in_tree[cur as usize] {
-            in_tree[cur as usize] = true;
+        while s.in_tree[cur as usize] != s.net {
+            s.in_tree[cur as usize] = s.net;
             out.tiles.push(cur);
-            let p = prev[cur as usize];
-            if p == u32::MAX {
-                break;
-            }
-            out.edges.push(fabric.edge_id(cur, p));
+            let (p, e) = s.prev[cur as usize];
+            out.edges.push(e);
             cur = p;
         }
-        remaining.retain(|&t| t != target);
+        s.pending[target as usize] = 0;
     }
     out
 }
@@ -169,7 +298,10 @@ pub fn route(
         return Err(Error::Cad("placement does not match netlist".into()));
     }
     let terminals = net_terminals(fabric, nl, placement);
+    let adj = Adjacency::new(fabric);
+    let mut scratch = Scratch::new(fabric.num_tiles() as usize);
     let num_edges = fabric.num_edges() as usize;
+    let channel_width = fabric.channel_width;
     let mut history = vec![0.0f64; num_edges];
     let mut result_nets: Vec<RoutedNet> = vec![RoutedNet::default(); nl.num_nets as usize];
     let mut iterations = 0;
@@ -179,7 +311,10 @@ pub fn route(
     for iter in 0..effort.max_iterations {
         iterations = iter + 1;
         let mut occupancy = vec![0u32; num_edges];
-        // Edge cost: base 1 + congestion history + current-use pressure.
+        // Edges currently over capacity. History is all zero in the first
+        // iteration, so there every edge costs exactly 1.0 until one
+        // overflows.
+        let mut over_edges = 0u32;
         for (net, terms) in terminals.iter().enumerate() {
             if terms.len() < 2 {
                 result_nets[net] = RoutedNet {
@@ -188,30 +323,30 @@ pub fn route(
                 };
                 continue;
             }
-            let cost: Vec<f64> = (0..num_edges)
-                .map(|e| {
-                    let over = occupancy[e].saturating_sub(fabric.channel_width) as f64;
-                    1.0 + history[e] + 4.0 * over
-                })
-                .collect();
-            let routed = route_net(fabric, terms, &cost);
+            let cost = EdgeCost {
+                history: &history,
+                occupancy: &occupancy,
+                channel_width,
+            };
+            let uniform = iter == 0 && over_edges == 0;
+            let routed = route_net(&adj, terms, (!uniform).then_some(&cost), &mut scratch);
             for &e in &routed.edges {
                 occupancy[e as usize] += 1;
+                if occupancy[e as usize] == channel_width + 1 {
+                    over_edges += 1;
+                }
             }
             result_nets[net] = routed;
         }
-        overflow = occupancy
-            .iter()
-            .filter(|&&o| o > fabric.channel_width)
-            .count() as u32;
+        overflow = occupancy.iter().filter(|&&o| o > channel_width).count() as u32;
         max_occ = occupancy.iter().copied().max().unwrap_or(0);
         if overflow == 0 {
             break;
         }
         // Penalize congested edges for the next iteration.
         for (e, &o) in occupancy.iter().enumerate() {
-            if o > fabric.channel_width {
-                history[e] += (o - fabric.channel_width) as f64 * 0.8;
+            if o > channel_width {
+                history[e] += (o - channel_width) as f64 * 0.8;
             }
         }
     }
@@ -227,7 +362,9 @@ pub fn route(
 }
 
 /// Verifies that every multi-terminal net's tree actually connects all its
-/// terminals (used by tests and the flow's assertions).
+/// terminals through its own edges. Linear in the routed design: per-net
+/// stamps mark the tree's tiles and edges and the tiles reached from the
+/// tree's first tile.
 pub fn check_connected(
     fabric: &Fabric,
     nl: &Netlist,
@@ -235,48 +372,56 @@ pub fn check_connected(
     routed: &RoutedDesign,
 ) -> Result<()> {
     let terminals = net_terminals(fabric, nl, placement);
+    let adj = Adjacency::new(fabric);
+    let num_tiles = fabric.num_tiles();
+    let num_edges = fabric.num_edges();
+    let mut in_tree = vec![0u32; num_tiles as usize];
+    let mut on_tree = vec![0u32; num_edges as usize];
+    let mut seen = vec![0u32; num_tiles as usize];
+    let mut stack = Vec::new();
     for (net, terms) in terminals.iter().enumerate() {
         if terms.len() < 2 {
             continue;
         }
-        let tree = &routed.nets[net];
+        let stamp = net as u32 + 1;
+        let tree = routed
+            .nets
+            .get(net)
+            .ok_or_else(|| Error::Cad(format!("net {net}: no route")))?;
+        if let Some(t) = tree.tiles.iter().find(|&&t| t >= num_tiles) {
+            return Err(Error::Cad(format!("net {net}: tile {t} off the fabric")));
+        }
+        if let Some(e) = tree.edges.iter().find(|&&e| e >= num_edges) {
+            return Err(Error::Cad(format!("net {net}: edge {e} off the fabric")));
+        }
+        for &t in &tree.tiles {
+            in_tree[t as usize] = stamp;
+        }
         for t in terms {
-            if !tree.tiles.contains(t) {
+            if in_tree[*t as usize] != stamp {
                 return Err(Error::Cad(format!(
                     "net {net}: terminal tile {t} not in routing tree"
                 )));
             }
         }
-        // Tree connectivity: edges + tiles must form a connected graph
-        // over the tile set.
-        let tiles = &tree.tiles;
-        if tiles.is_empty() {
-            continue;
+        for &e in &tree.edges {
+            on_tree[e as usize] = stamp;
         }
-        let mut adj: std::collections::HashMap<u32, Vec<u32>> = Default::default();
-        for &t in tiles {
-            adj.entry(t).or_default();
-        }
-        for &t in tiles {
-            for nb in fabric.neighbors(t) {
-                if tiles.contains(&nb) && tree.edges.contains(&fabric.edge_id(t, nb)) {
-                    adj.entry(t).or_default().push(nb);
-                }
-            }
-        }
-        let mut seen = std::collections::HashSet::new();
-        let mut q = VecDeque::new();
-        q.push_back(tiles[0]);
-        seen.insert(tiles[0]);
-        while let Some(t) = q.pop_front() {
-            for &nb in adj.get(&t).into_iter().flatten() {
-                if seen.insert(nb) {
-                    q.push_back(nb);
+        // Terminals are in the tree, so it has a first tile.
+        let root = tree.tiles[0];
+        seen[root as usize] = stamp;
+        stack.push(root);
+        while let Some(t) = stack.pop() {
+            for &(nb, e) in adj.of(t) {
+                let n = nb as usize;
+                if in_tree[n] == stamp && on_tree[e as usize] == stamp && seen[n] != stamp {
+                    seen[n] = stamp;
+                    stack.push(nb);
                 }
             }
         }
         for t in terms {
-            if !seen.contains(t) {
+            if seen[*t as usize] != stamp {
                 return Err(Error::Cad(format!(
                     "net {net}: terminal {t} disconnected from tree root"
                 )));
@@ -332,6 +477,43 @@ mod tests {
         let r2 = route(&fabric, &nl, &p, RouteEffort::normal()).unwrap();
         assert_eq!(r1.wirelength, r2.wirelength);
         assert_eq!(r1.overflow, r2.overflow);
+    }
+
+    #[test]
+    fn check_connected_rejects_broken_trees() {
+        let (fabric, nl, p, r) = routed_fixture(60);
+        let terminals = net_terminals(&fabric, &nl, &p);
+        let net = (0..r.nets.len())
+            .find(|&n| terminals[n].len() >= 2 && !r.nets[n].edges.is_empty())
+            .expect("some net needs wire");
+
+        let mut cut = r.clone();
+        cut.nets[net].edges.pop();
+        let err = check_connected(&fabric, &nl, &p, &cut).unwrap_err();
+        assert!(err.to_string().contains("disconnected"), "{err}");
+
+        let mut dropped = r.clone();
+        dropped.nets[net].tiles.retain(|t| *t != terminals[net][1]);
+        let err = check_connected(&fabric, &nl, &p, &dropped).unwrap_err();
+        assert!(err.to_string().contains("not in routing tree"), "{err}");
+
+        let mut off = r;
+        off.nets[net].edges.push(fabric.num_edges());
+        assert!(check_connected(&fabric, &nl, &p, &off).is_err());
+    }
+
+    #[test]
+    fn adjacency_matches_fabric_neighbors() {
+        let fabric = Fabric::tiny();
+        let adj = Adjacency::new(&fabric);
+        for t in 0..fabric.num_tiles() {
+            let want: Vec<(u32, u32)> = fabric
+                .neighbors(t)
+                .into_iter()
+                .map(|nb| (nb, fabric.edge_id(t, nb)))
+                .collect();
+            assert_eq!(adj.of(t), want.as_slice());
+        }
     }
 
     #[test]
