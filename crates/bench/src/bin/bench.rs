@@ -5,7 +5,8 @@
 //! Topics:
 //!
 //! * `search`   — candidate-search wall-clock: cold/warm [`SearchMemo`],
-//!   1/2/8 worker lanes, plus the modeled identification makespans;
+//!   1/2/8 worker lanes, plus the modeled identification makespans, and
+//!   the unpruned MAXMISO search of 444.namd (linear DFG construction);
 //! * `cad`      — CAD schedule makespan vs `cad_workers`, charged tool
 //!   time invariant across lanes;
 //! * `vm`       — interpreter instructions/cycles per paper app and the
@@ -63,6 +64,7 @@ use jitise_ise::{
     candidate_search, identify_makespan, Algorithm, DepthEstimator, PruneFilter, SearchConfig,
     SearchMemo,
 };
+use jitise_pivpav::PivPavEstimator;
 use jitise_serve::{run_serve, ServeConfig};
 use jitise_store::testfix::sample_entry;
 use jitise_store::{Record, Store, StoreOptions, TempDir};
@@ -340,6 +342,27 @@ fn bench_search(seed: u64, smoke: bool) -> BenchArtifact {
     let _ = search(1, Some(Arc::clone(&memo)));
     art.exact("search.memo.cold_misses", "count", cold_misses);
     art.exact("search.memo.warm_hits", "count", memo.hits());
+
+    // Table I's unpruned MAXMISO search over the largest app, 444.namd
+    // (4,072 blocks, 52k instructions): DFG construction must stay linear
+    // in the function size, or this wall grows quadratically.
+    let namd = App::build("444.namd").expect("444.namd is a paper app");
+    let namd_profile = namd.scaled_profile();
+    let estimator = PivPavEstimator::new();
+    let unpruned = SearchConfig {
+        filter: PruneFilter::none(),
+        ..SearchConfig::default()
+    };
+    let unpruned_search = || candidate_search(&namd.module, &namd_profile, &estimator, &unpruned);
+    art.exact(
+        "search.unpruned_app.fingerprint",
+        "hash",
+        unpruned_search().fingerprint(),
+    );
+    let sample = measure_host(reps, || {
+        let _ = unpruned_search();
+    });
+    art.push("search.unpruned_app.wall", "ns", sample.metric());
 
     // Host axis: cold (fresh memo every run) vs warm (pre-warmed, shared)
     // at 1 and 8 lanes.

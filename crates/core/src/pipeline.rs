@@ -55,7 +55,7 @@ use jitise_cad::{
     map_overlay, run_flow_accounted, Fabric, FlowOptions, InstallTier, OverlayLibrary,
 };
 use jitise_faults::{FaultInjector, FaultSite, Quarantine, RetryPolicy};
-use jitise_ir::{Dfg, Function, Module};
+use jitise_ir::{Dfg, Escapes, FuncId, Function, Module};
 use jitise_ise::{candidate_search, Candidate, SearchConfig, SearchOutcome};
 use jitise_pivpav::{
     create_project_with, C2vTiming, CadProject, CircuitDb, NetlistCache, PivPavEstimator,
@@ -64,7 +64,7 @@ use jitise_store::{FaultTotals, Record, Store};
 use jitise_telemetry::{names, Span, Telemetry, Value as TelValue};
 use jitise_vm::{BlockKey, Profile, VmTier};
 use jitise_woolcano::{patch_candidate, ReconfigController, Woolcano};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Configuration of the whole specialization process.
@@ -766,7 +766,7 @@ struct Prepared {
     saved_per_exec: u64,
     exec_count: u64,
     hw_cycles: u64,
-    dfg: Dfg,
+    dfg: Arc<Dfg>,
     signature: u64,
     disposition: Disposition,
     /// Overlay fast-path state, when the library is enabled and the
@@ -983,10 +983,19 @@ fn begin_session<'a>(
     let mut spans: Vec<Option<Span>> = Vec::with_capacity(selected.len());
     let mut jobs: Vec<CadJob> = Vec::new();
     let mut dispatched: HashSet<u64> = HashSet::new();
+    // Many candidates share a block: build each block's DFG once, from one
+    // escape pass per function.
+    let mut escapes: HashMap<FuncId, Escapes> = HashMap::new();
+    let mut dfgs: HashMap<BlockKey, Arc<Dfg>> = HashMap::new();
 
     for (cand, saved_per_exec, exec_count, hw_cycles) in selected {
         let pf = pristine.func(cand.key.func);
-        let dfg = Dfg::build(pf, cand.key.block);
+        let dfg = Arc::clone(dfgs.entry(cand.key).or_insert_with(|| {
+            let escapes = escapes
+                .entry(cand.key.func)
+                .or_insert_with(|| Escapes::of(pf));
+            Arc::new(Dfg::build_with(pf, cand.key.block, escapes))
+        }));
         let signature = cand.signature(pf, &dfg);
         let mut cand_span = tel.span("pipeline.candidate");
         let cand_tel = tel.under(&cand_span);

@@ -18,7 +18,7 @@ use crate::inst::{InstKind, Opcode, Operand};
 use crate::types::Type;
 
 /// A node of the data-flow graph: one instruction of the block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DfgNode {
     /// The instruction this node represents.
     pub inst: InstId,
@@ -35,13 +35,12 @@ pub struct DfgNode {
     pub ext_inputs: u32,
     /// Number of constant operands.
     pub const_inputs: u32,
-    /// True if the node's value escapes the block (used by the terminator
-    /// or by instructions in other blocks).
+    /// True if the node's value escapes the block (see [`Escapes`]).
     pub escapes: bool,
 }
 
 /// The data-flow graph of one basic block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dfg {
     /// The block this graph was built from.
     pub block: BlockId,
@@ -51,13 +50,68 @@ pub struct Dfg {
     pub nodes: Vec<DfgNode>,
 }
 
+/// Function-wide escape facts, indexed by [`InstId`]: an instruction's
+/// value escapes its block if any terminator uses it, any phi uses it
+/// (a phi consumes its operands "around the loop", even in the defining
+/// block), or a non-phi instruction of another block uses it.
+///
+/// One pass over the function's attached instructions computes the facts
+/// for every block at once; instructions detached from all blocks (left in
+/// the arena by the optimizer) are not scanned as consumers.
+#[derive(Debug, Clone)]
+pub struct Escapes(Vec<bool>);
+
+impl Escapes {
+    /// Computes the escape facts of every instruction of `f`.
+    pub fn of(f: &Function) -> Escapes {
+        let mut home: Vec<Option<BlockId>> = vec![None; f.insts.len()];
+        for b in f.block_ids() {
+            for &iid in &f.block(b).insts {
+                home[iid.idx()] = Some(b);
+            }
+        }
+        let mut escapes = vec![false; f.insts.len()];
+        for b in f.block_ids() {
+            let blk = f.block(b);
+            for &iid in &blk.insts {
+                let inst = f.inst(iid);
+                let is_phi = matches!(inst.kind, InstKind::Phi(_));
+                for op in inst.operands() {
+                    if let Operand::Inst(def) = op {
+                        if is_phi || home[def.idx()] != Some(b) {
+                            escapes[def.idx()] = true;
+                        }
+                    }
+                }
+            }
+            for op in blk.term.iter().flat_map(|t| t.operands()) {
+                if let Operand::Inst(def) = op {
+                    escapes[def.idx()] = true;
+                }
+            }
+        }
+        Escapes(escapes)
+    }
+
+    /// True if `inst`'s value escapes its block.
+    pub fn contains(&self, inst: InstId) -> bool {
+        self.0[inst.idx()]
+    }
+}
+
 impl Dfg {
     /// Builds the DFG of `block` in `f`.
     ///
-    /// `escape_map` support: consumers in *other* blocks are found with a
-    /// single scan over the whole function, so building all DFGs of a
-    /// function is O(total instructions).
+    /// Escape facts are function-wide, so one call costs O(function); code
+    /// that builds several blocks of one function uses [`Dfg::build_all`]
+    /// or computes [`Escapes::of`] once and calls [`Dfg::build_with`].
     pub fn build(f: &Function, block: BlockId) -> Dfg {
+        Dfg::build_with(f, block, &Escapes::of(f))
+    }
+
+    /// Builds the DFG of `block` in `f` from the function's precomputed
+    /// escape facts, in O(block).
+    pub fn build_with(f: &Function, block: BlockId, escapes: &Escapes) -> Dfg {
         let blk = f.block(block);
         // Map from InstId -> node index within this block.
         let mut node_of = std::collections::HashMap::with_capacity(blk.insts.len());
@@ -78,7 +132,7 @@ impl Dfg {
                     succs: Vec::new(),
                     ext_inputs: 0,
                     const_inputs: 0,
-                    escapes: false,
+                    escapes: escapes.contains(iid),
                 }
             })
             .collect();
@@ -105,60 +159,15 @@ impl Dfg {
             }
         }
 
-        // Escape analysis: values used by the terminator of this block or
-        // by any instruction outside this block.
-        if let Some(term) = &blk.term {
-            for op in term.operands() {
-                if let Operand::Inst(def) = op {
-                    if let Some(&j) = node_of.get(&def) {
-                        nodes[j as usize].escapes = true;
-                    }
-                }
-            }
-        }
-        for other in f.block_ids() {
-            if other == block {
-                // Phis in this very block consume values "around the loop";
-                // treat those as escaping too.
-                for &iid in &f.block(other).insts {
-                    if let InstKind::Phi(incoming) = &f.inst(iid).kind {
-                        for (_, op) in incoming {
-                            if let Operand::Inst(def) = op {
-                                if let Some(&j) = node_of.get(def) {
-                                    nodes[j as usize].escapes = true;
-                                }
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
-            for &iid in &f.block(other).insts {
-                for op in f.inst(iid).operands() {
-                    if let Operand::Inst(def) = op {
-                        if let Some(&j) = node_of.get(&def) {
-                            nodes[j as usize].escapes = true;
-                        }
-                    }
-                }
-            }
-            if let Some(term) = &f.block(other).term {
-                for op in term.operands() {
-                    if let Operand::Inst(def) = op {
-                        if let Some(&j) = node_of.get(&def) {
-                            nodes[j as usize].escapes = true;
-                        }
-                    }
-                }
-            }
-        }
-
         Dfg { block, nodes }
     }
 
-    /// Builds the DFGs of all blocks of a function.
+    /// Builds the DFGs of all blocks of a function, in O(function).
     pub fn build_all(f: &Function) -> Vec<Dfg> {
-        f.block_ids().map(|b| Dfg::build(f, b)).collect()
+        let escapes = Escapes::of(f);
+        f.block_ids()
+            .map(|b| Dfg::build_with(f, b, &escapes))
+            .collect()
     }
 
     /// Number of nodes.

@@ -46,7 +46,7 @@ pub mod types;
 pub mod verify;
 
 pub use builder::FunctionBuilder;
-pub use dfg::{Dfg, DfgNode};
+pub use dfg::{Dfg, DfgNode, Escapes};
 pub use function::{Block, BlockId, Function, InstId};
 pub use inst::{BinOp, CmpOp, ExtFunc, Imm, Inst, InstKind, Opcode, Operand, Terminator, UnOp};
 pub use module::{FuncId, Global, GlobalId, Module};

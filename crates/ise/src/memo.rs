@@ -15,10 +15,10 @@
 //! signature it was computed from. A lookup whose signature differs (the
 //! block — or any block of its function — was edited, e.g. by candidate
 //! patching) *invalidates* the whole entry and recomputes. The signature
-//! deliberately covers the **entire function**, not just the block:
-//! [`Dfg::build`]'s escape analysis scans every other block for consumers,
-//! so an edit elsewhere in the function can change this block's DFG without
-//! touching its own instructions. Identification results are additionally
+//! deliberately covers the **entire function**, not just the block: escape
+//! facts ([`jitise_ir::Escapes`]) are function-wide, so an edit elsewhere in
+//! the function can change this block's DFG without touching its own
+//! instructions. Identification results are additionally
 //! keyed by an algorithm-configuration signature (algorithm, policy, ports,
 //! minimum size), so differently-configured searches share one memo — and
 //! one `Dfg` — without colliding.

@@ -30,7 +30,7 @@ use crate::singlecut::{single_cut, PortConstraints};
 use crate::union::union_miso;
 use jitise_base::hash::SigHasher;
 use jitise_base::par::parallel_map_indexed;
-use jitise_ir::{Dfg, FuncId, Module};
+use jitise_ir::{Dfg, Escapes, FuncId, Module};
 use jitise_telemetry::{names, Telemetry, Value as TelValue};
 use jitise_vm::{BlockKey, Profile};
 use std::collections::HashMap;
@@ -222,20 +222,23 @@ pub fn candidate_search(
     };
 
     // 2. Identify candidates in every surviving block, fanned out across
-    //    the worker lanes. Memo content signatures cover whole functions
-    //    (escape analysis sees every block), so hash each function once,
-    //    serially, before the fan-out.
+    //    the worker lanes. Escape facts and memo content signatures both
+    //    cover whole functions, so compute each function's once, serially,
+    //    before the fan-out.
     let mut identify_span = search_span.child("ise.identify");
-    let func_sigs: HashMap<FuncId, u64> = if config.memo.is_some() {
-        let mut sigs = HashMap::new();
-        for &key in &pruned.blocks {
-            sigs.entry(key.func)
-                .or_insert_with(|| memo::function_signature(module.func(key.func)));
+    let mut escapes: HashMap<FuncId, Escapes> = HashMap::new();
+    let mut func_sigs: HashMap<FuncId, u64> = HashMap::new();
+    for &key in &pruned.blocks {
+        let f = module.func(key.func);
+        escapes.entry(key.func).or_insert_with(|| Escapes::of(f));
+        if config.memo.is_some() {
+            func_sigs
+                .entry(key.func)
+                .or_insert_with(|| memo::function_signature(f));
         }
-        sigs
-    } else {
-        HashMap::new()
-    };
+    }
+    let build_dfg =
+        |key: BlockKey| Dfg::build_with(module.func(key.func), key.block, &escapes[&key.func]);
     let cfg_sig = memo::config_signature(
         config.algorithm,
         &config.policy,
@@ -280,7 +283,7 @@ pub fn candidate_search(
                     key,
                     content,
                     cfg_sig,
-                    || Dfg::build(module.func(key.func), key.block),
+                    || build_dfg(key),
                     |dfg| identify(key, dfg),
                 );
                 BlockIdent {
@@ -291,7 +294,7 @@ pub fn candidate_search(
                 }
             }
             None => {
-                let dfg = Dfg::build(module.func(key.func), key.block);
+                let dfg = build_dfg(key);
                 let ident = identify(key, &dfg);
                 BlockIdent {
                     dfg: Arc::new(dfg),
