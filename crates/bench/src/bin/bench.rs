@@ -8,7 +8,8 @@
 //!   1/2/8 worker lanes, plus the modeled identification makespans, and
 //!   the unpruned MAXMISO search of 444.namd (linear DFG construction);
 //! * `cad`      — CAD schedule makespan vs `cad_workers`, charged tool
-//!   time invariant across lanes;
+//!   time and the bitstream-cache image (every placement, route and
+//!   timing) invariant across lanes;
 //! * `vm`       — interpreter instructions/cycles per paper app and the
 //!   sweep's host MIPS;
 //! * `store`    — recovery time and committed-prefix accounting under a
@@ -404,6 +405,7 @@ fn bench_cad(seed: u64, smoke: bool) -> BenchArtifact {
     art.config("lanes", "1,2,4,8");
 
     let mut fingerprint = None;
+    let mut bitstreams = None;
     for lane in lanes {
         // Fresh context per lane: shared caches would zero later makespans.
         let mut ctx = EvalContext::new();
@@ -415,19 +417,29 @@ fn bench_cad(seed: u64, smoke: bool) -> BenchArtifact {
             "sim_ns",
             ev.report.makespan.as_nanos(),
         );
+        // Every bitstream encodes its cells' rows per column and its
+        // routed tiles; the image also holds each candidate's timing.
+        let image = hash_bytes(&ctx.bitstreams.to_bytes());
         if fingerprint.is_none() {
             fingerprint = Some(ev.report.fingerprint());
+            bitstreams = Some(image);
             art.exact("cad.cpu_time", "sim_ns", ev.report.cpu_time.as_nanos());
             art.exact(
                 "cad.fingerprint",
                 "hash",
                 hash_bytes(ev.report.fingerprint().as_bytes()),
             );
+            art.exact("cad.bitstreams", "hash", image);
         } else {
             assert_eq!(
                 fingerprint.as_deref(),
                 Some(ev.report.fingerprint().as_str()),
                 "report must be identical across lane counts"
+            );
+            assert_eq!(
+                bitstreams,
+                Some(image),
+                "bitstreams must be identical across lane counts"
             );
         }
     }

@@ -4,6 +4,13 @@
 //! region: every cell is assigned a tile whose site kind matches, tile
 //! capacities are respected, and the cost is the half-perimeter wirelength
 //! (HPWL) over all nets — the classic VPR formulation.
+//!
+//! Host path (DESIGN.md §3, "Placer host path"): each net keeps its
+//! bounding box with the number of pins on each edge, so a move updates
+//! the box in O(1) and rescans the net's pins only when the only pin on
+//! an edge moves inward. The boxes are exact, so every delta, RNG draw
+//! and accept decision equals a from-scratch HPWL per move
+//! (`crates/cad/tests/place_oracle.rs`).
 
 use crate::fabric::{Fabric, SiteKind};
 use jitise_base::rng::XorShift128Plus;
@@ -11,7 +18,7 @@ use jitise_base::{Error, Result};
 use jitise_pivpav::{CellKind, Netlist, PortDir};
 
 /// A legal placement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// Tile of each cell (index parallel to `netlist.cells`).
     pub cell_tile: Vec<u32>,
@@ -57,15 +64,6 @@ fn required_site(kind: CellKind) -> SiteKind {
     }
 }
 
-/// Net → cells map plus the port-to-tile pins (module ports pinned to the
-/// fabric edge, where the bus macros sit in a real PR design).
-struct NetPins {
-    /// For each net: cell indices touching it.
-    net_cells: Vec<Vec<u32>>,
-    /// For each net: fixed pin tiles (from module ports).
-    net_fixed: Vec<Vec<u32>>,
-}
-
 /// The fixed pin tile of every module-port bit, as `(net, tile)` in port
 /// order: inputs pin to the west fabric edge and outputs to the east edge,
 /// each spread over the rows.
@@ -89,58 +87,141 @@ pub(crate) fn port_pins<'a>(
         })
 }
 
-fn build_pins(fabric: &Fabric, nl: &Netlist) -> NetPins {
-    let n = nl.num_nets as usize;
-    let mut net_cells = vec![Vec::new(); n];
-    let mut net_fixed = vec![Vec::new(); n];
-    for (i, c) in nl.cells.iter().enumerate() {
-        net_cells[c.output as usize].push(i as u32);
-        for &inp in &c.inputs {
-            net_cells[inp as usize].push(i as u32);
+/// One axis of a net's bounding box: its extreme coordinates and how many
+/// pins sit on each.
+#[derive(Clone, Copy, Default)]
+struct Span {
+    lo: u32,
+    hi: u32,
+    at_lo: u32,
+    at_hi: u32,
+}
+
+impl Span {
+    fn of(v: u32) -> Span {
+        Span {
+            lo: v,
+            hi: v,
+            at_lo: 1,
+            at_hi: 1,
         }
     }
-    for (net, tile) in port_pins(fabric, nl) {
-        net_fixed[net as usize].push(tile);
+
+    fn add(&mut self, v: u32) {
+        if v < self.lo {
+            (self.lo, self.at_lo) = (v, 1);
+        } else if v == self.lo {
+            self.at_lo += 1;
+        }
+        if v > self.hi {
+            (self.hi, self.at_hi) = (v, 1);
+        } else if v == self.hi {
+            self.at_hi += 1;
+        }
     }
-    for cells in net_cells.iter_mut() {
-        cells.dedup();
-    }
-    NetPins {
-        net_cells,
-        net_fixed,
+
+    /// Moves one pin from `from` to `to`. Returns `false`, leaving the
+    /// span stale, when that pin was the only one on the edge it leaves
+    /// inward: only a rescan finds the new edge.
+    fn shift(&mut self, from: u32, to: u32) -> bool {
+        if to < from {
+            if from == self.hi {
+                if self.at_hi == 1 {
+                    return false;
+                }
+                self.at_hi -= 1;
+            }
+            if to < self.lo {
+                (self.lo, self.at_lo) = (to, 1);
+            } else if to == self.lo {
+                self.at_lo += 1;
+            }
+        } else if to > from {
+            if from == self.lo {
+                if self.at_lo == 1 {
+                    return false;
+                }
+                self.at_lo -= 1;
+            }
+            if to > self.hi {
+                (self.hi, self.at_hi) = (to, 1);
+            } else if to == self.hi {
+                self.at_hi += 1;
+            }
+        }
+        true
     }
 }
 
-fn net_hpwl(fabric: &Fabric, pins: &NetPins, placement: &[u32], net: usize) -> u64 {
-    let mut min_x = u32::MAX;
-    let mut max_x = 0;
-    let mut min_y = u32::MAX;
-    let mut max_y = 0;
-    let mut any = false;
-    let mut consider = |tile: u32| {
-        let (x, y) = fabric.xy(tile);
-        min_x = min_x.min(x);
-        max_x = max_x.max(x);
-        min_y = min_y.min(y);
-        max_y = max_y.max(y);
-        any = true;
-    };
-    for &c in &pins.net_cells[net] {
-        consider(placement[c as usize]);
-    }
-    for &t in &pins.net_fixed[net] {
-        consider(t);
-    }
-    if !any {
-        return 0;
-    }
-    ((max_x - min_x) + (max_y - min_y)) as u64
+/// A net's bounding box, `[x, y]`; all zero for a net without pins.
+type NetBox = [Span; 2];
+
+fn box_hpwl(b: &NetBox) -> u64 {
+    ((b[0].hi - b[0].lo) + (b[1].hi - b[1].lo)) as u64
 }
 
-fn total_hpwl(fabric: &Fabric, pins: &NetPins, placement: &[u32]) -> u64 {
-    (0..pins.net_cells.len())
-        .map(|n| net_hpwl(fabric, pins, placement, n))
-        .sum()
+/// Every net's pins: the cells touching it and the fixed tiles of its
+/// module-port bits (pinned to the fabric edge, where the bus macros sit
+/// in a real PR design).
+struct Nets {
+    /// For each net: cell indices touching it, each once.
+    cells: Vec<Vec<u32>>,
+    /// For each net: fixed pin tiles (from module ports).
+    fixed: Vec<Vec<u32>>,
+    /// `[x, y]` of every tile.
+    xy: Vec<[u32; 2]>,
+}
+
+impl Nets {
+    fn new(fabric: &Fabric, nl: &Netlist) -> Nets {
+        let n = nl.num_nets as usize;
+        let mut cells = vec![Vec::new(); n];
+        let mut fixed = vec![Vec::new(); n];
+        for (i, c) in nl.cells.iter().enumerate() {
+            cells[c.output as usize].push(i as u32);
+            for &inp in &c.inputs {
+                cells[inp as usize].push(i as u32);
+            }
+        }
+        for (net, tile) in port_pins(fabric, nl) {
+            fixed[net as usize].push(tile);
+        }
+        for c in cells.iter_mut() {
+            c.dedup();
+        }
+        let xy = (0..fabric.num_tiles())
+            .map(|t| {
+                let (x, y) = fabric.xy(t);
+                [x, y]
+            })
+            .collect();
+        Nets { cells, fixed, xy }
+    }
+
+    /// The bounding box of `net`, scanning every pin.
+    fn scan(&self, placement: &[u32], net: usize) -> NetBox {
+        let mut tiles = self.cells[net]
+            .iter()
+            .map(|&c| placement[c as usize])
+            .chain(self.fixed[net].iter().copied());
+        let Some(first) = tiles.next() else {
+            return NetBox::default();
+        };
+        let [x, y] = self.xy[first as usize];
+        let mut b = [Span::of(x), Span::of(y)];
+        for t in tiles {
+            let [x, y] = self.xy[t as usize];
+            b[0].add(x);
+            b[1].add(y);
+        }
+        b
+    }
+
+    fn scan_all(&self, placement: &[u32]) -> Vec<NetBox> {
+        (0..self.cells.len())
+            .map(|n| self.scan(placement, n))
+            .collect()
+    }
 }
 
 /// Places `nl` on `fabric` with simulated annealing.
@@ -169,7 +250,7 @@ pub fn place(fabric: &Fabric, nl: &Netlist, effort: PlaceEffort, seed: u64) -> R
     }
 
     let mut rng = XorShift128Plus::new(seed);
-    let pins = build_pins(fabric, nl);
+    let nets = Nets::new(fabric, nl);
 
     // Initial placement: round-robin over matching tiles.
     let mut occupancy = vec![0u32; fabric.num_tiles() as usize];
@@ -211,18 +292,21 @@ pub fn place(fabric: &Fabric, nl: &Netlist, effort: PlaceEffort, seed: u64) -> R
     }
 
     // Annealing.
-    let mut cost = total_hpwl(fabric, &pins, &placement);
-    let mut temp = (cost as f64 / pins.net_cells.len().max(1) as f64).max(1.0);
+    let mut boxes = nets.scan_all(&placement);
+    let mut cost: u64 = boxes.iter().map(box_hpwl).sum();
+    let mut temp = (cost as f64 / nets.cells.len().max(1) as f64).max(1.0);
     let mut moves = 0u64;
     let mut accepted = 0u64;
 
     // Nets touched by a cell, for incremental cost evaluation.
     let mut cell_nets: Vec<Vec<u32>> = vec![Vec::new(); nl.cells.len()];
-    for (net, cells) in pins.net_cells.iter().enumerate() {
+    for (net, cells) in nets.cells.iter().enumerate() {
         for &c in cells {
             cell_nets[c as usize].push(net as u32);
         }
     }
+    // The moved cell's net boxes after the move, parallel to its nets.
+    let mut moved: Vec<NetBox> = Vec::new();
 
     for _ in 0..effort.temp_steps {
         for _ in 0..effort.moves_per_temp {
@@ -246,15 +330,22 @@ pub fn place(fabric: &Fabric, nl: &Netlist, effort: PlaceEffort, seed: u64) -> R
                 continue; // site full (cell swaps omitted for simplicity)
             }
             // Incremental delta over the cell's nets.
-            let before: u64 = cell_nets[cell]
-                .iter()
-                .map(|&n| net_hpwl(fabric, &pins, &placement, n as usize))
-                .sum();
             placement[cell] = target;
-            let after: u64 = cell_nets[cell]
-                .iter()
-                .map(|&n| net_hpwl(fabric, &pins, &placement, n as usize))
-                .sum();
+            let [fx, fy] = nets.xy[from as usize];
+            let [tx, ty] = nets.xy[target as usize];
+            let mut before = 0u64;
+            let mut after = 0u64;
+            moved.clear();
+            for &n in &cell_nets[cell] {
+                let old = &boxes[n as usize];
+                let mut b = *old;
+                if !(b[0].shift(fx, tx) && b[1].shift(fy, ty)) {
+                    b = nets.scan(&placement, n as usize);
+                }
+                before += box_hpwl(old);
+                after += box_hpwl(&b);
+                moved.push(b);
+            }
             let delta = after as i64 - before as i64;
             let accept = delta <= 0 || rng.next_f64() < (-(delta as f64) / temp).exp();
             if accept {
@@ -262,6 +353,9 @@ pub fn place(fabric: &Fabric, nl: &Netlist, effort: PlaceEffort, seed: u64) -> R
                 occupancy[target as usize] += 1;
                 cost = (cost as i64 + delta) as u64;
                 accepted += 1;
+                for (&n, b) in cell_nets[cell].iter().zip(&moved) {
+                    boxes[n as usize] = *b;
+                }
             } else {
                 placement[cell] = from;
             }
@@ -358,8 +452,8 @@ mod tests {
         let fabric = Fabric::pr_region();
         let nl = synthesize_core("t", 8, 60, 8, 2, 5);
         let p = place(&fabric, &nl, PlaceEffort::fast(), 5).unwrap();
-        let pins = build_pins(&fabric, &nl);
-        assert_eq!(p.hpwl, total_hpwl(&fabric, &pins, &p.cell_tile));
+        let boxes = Nets::new(&fabric, &nl).scan_all(&p.cell_tile);
+        assert_eq!(p.hpwl, boxes.iter().map(box_hpwl).sum::<u64>());
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! Host path (DESIGN.md §3, "Router host path"): edge costs are computed
 //! at relaxation time, per-tile search state lives in stamped scratch
 //! reused by every search of one [`route`] call, and while every edge
-//! costs exactly 1.0 the search expands breadth-first layers instead of
-//! running the heap. Each of these reproduces the heap search's
-//! `(key, tile)` pop order, so routes are identical to a plain Dijkstra
-//! over a materialized cost vector (`crates/cad/tests/route_oracle.rs`).
+//! costs exactly 1.0 the search grows a bit-parallel wavefront of hop
+//! layers over tile bitsets instead of running the heap. Each of these
+//! reproduces the heap search's `(key, tile)` pop order, so routes are
+//! identical to a plain Dijkstra over a materialized cost vector
+//! (`crates/cad/tests/route_oracle.rs`).
 
 use crate::fabric::Fabric;
 use crate::place::{port_pins, Placement};
@@ -137,40 +138,171 @@ fn key(d: f64) -> u64 {
     (d * 1024.0) as u64
 }
 
-/// Per-tile search state shared by every search of one [`route`] call.
-/// An entry is valid only where its stamp equals the current generation,
-/// so nothing is cleared between searches or nets. Generations start at 1
-/// and the stamps at 0.
+fn contains(set: &[u64], tile: u32) -> bool {
+    set[tile as usize / 64] >> (tile % 64) & 1 != 0
+}
+
+fn insert(set: &mut [u64], tile: u32) {
+    set[tile as usize / 64] |= 1 << (tile % 64);
+}
+
+/// Word `i` of `set` with every tile `t` moved to `t - k`.
+fn down(set: &[u64], i: usize, k: usize) -> u64 {
+    let (q, r) = (k / 64, k % 64);
+    let at = |j: usize| set.get(j).copied().unwrap_or(0);
+    if r == 0 {
+        at(i + q)
+    } else {
+        at(i + q) >> r | at(i + q + 1) << (64 - r)
+    }
+}
+
+/// Word `i` of `set` with every tile `t` moved to `t + k`.
+fn up(set: &[u64], i: usize, k: usize) -> u64 {
+    let (q, r) = (k / 64, k % 64);
+    let at = |j: Option<usize>| j.and_then(|j| set.get(j)).copied().unwrap_or(0);
+    if r == 0 {
+        at(i.checked_sub(q))
+    } else {
+        at(i.checked_sub(q)) << r | at(i.checked_sub(q + 1)) >> (64 - r)
+    }
+}
+
+/// Uniform-cost search as a bit-parallel wavefront over tile bitsets
+/// (bit `t % 64` of word `t / 64` is tile `t`).
+struct Wavefront {
+    words: usize,
+    width: usize,
+    /// Tiles with a west neighbour (`x > 0`) and with an east neighbour
+    /// (`x + 1 < width`).
+    has_west: Vec<u64>,
+    has_east: Vec<u64>,
+    /// Every tile of the fabric.
+    valid: Vec<u64>,
+    reached: Vec<u64>,
+    /// Hop layer `h` of the current search is
+    /// `layers[h * words..(h + 1) * words]`; layer 0 is the tree.
+    layers: Vec<u64>,
+}
+
+impl Wavefront {
+    fn new(fabric: &Fabric) -> Wavefront {
+        let words = (fabric.num_tiles() as usize).div_ceil(64);
+        let mut w = Wavefront {
+            words,
+            width: fabric.width as usize,
+            has_west: vec![0; words],
+            has_east: vec![0; words],
+            valid: vec![0; words],
+            reached: vec![0; words],
+            layers: Vec::new(),
+        };
+        for t in 0..fabric.num_tiles() {
+            let (x, _) = fabric.xy(t);
+            insert(&mut w.valid, t);
+            if x > 0 {
+                insert(&mut w.has_west, t);
+            }
+            if x + 1 < fabric.width {
+                insert(&mut w.has_east, t);
+            }
+        }
+        w
+    }
+
+    /// [`Scratch::dijkstra`] when every edge costs exactly 1.0: a tile's
+    /// key is 1024 × its hop count, so the heap pops whole hop layers in
+    /// ascending tile order, and a tile's predecessor is the first tile of
+    /// the previous layer to reach it. Each layer is the previous one
+    /// shifted one tile west, east, south and north, minus every tile
+    /// reached before; the target is the lowest pending tile of the first
+    /// layer holding one. Sets `prev` along the path from the target back
+    /// into the tree, taking at each hop the lowest-numbered neighbour in
+    /// the previous layer.
+    fn search(
+        &mut self,
+        adj: &Adjacency,
+        tree: &[u64],
+        pending: &[u64],
+        prev: &mut [(u32, u32)],
+    ) -> Option<u32> {
+        let n = self.words;
+        self.layers.clear();
+        self.layers.extend_from_slice(tree);
+        self.reached.copy_from_slice(tree);
+        let mut hops = 0;
+        let target = 'grow: loop {
+            self.layers.resize((hops + 2) * n, 0);
+            let (done, next) = self.layers.split_at_mut((hops + 1) * n);
+            let layer = &done[hops * n..];
+            let mut any = 0;
+            for (i, out) in next.iter_mut().enumerate() {
+                let grown = down(layer, i, 1) & self.has_east[i]
+                    | up(layer, i, 1) & self.has_west[i]
+                    | down(layer, i, self.width)
+                    | up(layer, i, self.width);
+                let fresh = grown & self.valid[i] & !self.reached[i];
+                let hit = fresh & pending[i];
+                if hit != 0 {
+                    break 'grow i as u32 * 64 + hit.trailing_zeros();
+                }
+                *out = fresh;
+                self.reached[i] |= fresh;
+                any |= fresh;
+            }
+            if any == 0 {
+                return None;
+            }
+            hops += 1;
+        };
+        let mut cur = target;
+        for h in (0..=hops).rev() {
+            let layer = &self.layers[h * n..(h + 1) * n];
+            let &(p, e) = adj
+                .of(cur)
+                .iter()
+                .filter(|&&(nb, _)| contains(layer, nb))
+                .min_by_key(|&&(nb, _)| nb)
+                .expect("a wavefront tile has a neighbour in the previous layer");
+            prev[cur as usize] = (p, e);
+            cur = p;
+        }
+        Some(target)
+    }
+}
+
+/// Search state shared by every search of one [`route`] call. A per-tile
+/// heap entry is valid only where its stamp equals the current
+/// generation, so nothing is cleared between searches. Generations start
+/// at 1 and the stamps at 0.
 struct Scratch {
     /// Path cost from the tree; valid where `reached == search`.
     dist: Vec<f64>,
-    /// Predecessor tile and the edge to it; valid where `reached == search`.
+    /// Predecessor tile and the edge to it; valid where `reached == search`
+    /// and, after a wavefront search, along the path it found.
     prev: Vec<(u32, u32)>,
     reached: Vec<u32>,
     search: u32,
-    /// `== net` where the tile is in the current net's tree.
-    in_tree: Vec<u32>,
-    /// `== net` where the tile is a terminal still to be connected.
-    pending: Vec<u32>,
-    net: u32,
+    /// The current net's tree tiles and the terminals still to connect.
+    tree: Vec<u64>,
+    pending: Vec<u64>,
     heap: BinaryHeap<Reverse<u128>>,
-    layer: Vec<u32>,
-    next: Vec<u32>,
+    wave: Wavefront,
 }
 
 impl Scratch {
-    fn new(num_tiles: usize) -> Scratch {
+    fn new(fabric: &Fabric) -> Scratch {
+        let wave = Wavefront::new(fabric);
+        let num_tiles = fabric.num_tiles() as usize;
         Scratch {
             dist: vec![f64::INFINITY; num_tiles],
             prev: vec![(u32::MAX, u32::MAX); num_tiles],
             reached: vec![0; num_tiles],
             search: 0,
-            in_tree: vec![0; num_tiles],
-            pending: vec![0; num_tiles],
-            net: 0,
+            tree: vec![0; wave.words],
+            pending: vec![0; wave.words],
             heap: BinaryHeap::new(),
-            layer: Vec::new(),
-            next: Vec::new(),
+            wave,
         }
     }
 
@@ -178,6 +310,7 @@ impl Scratch {
     /// terminal it pops: Dijkstra keyed by [`key`] with ties broken by
     /// tile id, one `u128` heap entry `key << 32 | tile` per push.
     fn dijkstra(&mut self, adj: &Adjacency, tree: &[u32], cost: &EdgeCost) -> Option<u32> {
+        self.search += 1;
         self.heap.clear();
         for &t in tree {
             self.reached[t as usize] = self.search;
@@ -190,7 +323,7 @@ impl Scratch {
             if (entry >> 32) as u64 > key(d) {
                 continue; // stale: the tile was re-pushed with a lower key
             }
-            if self.pending[tile as usize] == self.net {
+            if contains(&self.pending, tile) {
                 return Some(tile);
             }
             for &(nb, e) in adj.of(tile) {
@@ -204,38 +337,6 @@ impl Scratch {
                         .push(Reverse((key(nd) as u128) << 32 | nb as u128));
                 }
             }
-        }
-        None
-    }
-
-    /// [`Scratch::dijkstra`] when every edge costs exactly 1.0: a tile's
-    /// key is 1024 × its hop count, so the heap pops whole hop layers in
-    /// ascending tile order and never holds a stale entry. Expanding
-    /// sorted layers reproduces that order, the first pending terminal
-    /// popped, and every predecessor.
-    fn breadth_first(&mut self, adj: &Adjacency, tree: &[u32]) -> Option<u32> {
-        self.layer.clear();
-        self.layer.extend_from_slice(tree);
-        self.layer.sort_unstable();
-        for &t in tree {
-            self.reached[t as usize] = self.search;
-        }
-        while !self.layer.is_empty() {
-            self.next.clear();
-            for &tile in &self.layer {
-                if self.pending[tile as usize] == self.net {
-                    return Some(tile);
-                }
-                for &(nb, e) in adj.of(tile) {
-                    if self.reached[nb as usize] != self.search {
-                        self.reached[nb as usize] = self.search;
-                        self.prev[nb as usize] = (tile, e);
-                        self.next.push(nb);
-                    }
-                }
-            }
-            self.next.sort_unstable();
-            std::mem::swap(&mut self.layer, &mut self.next);
         }
         None
     }
@@ -256,33 +357,33 @@ fn route_net(
     }
     // Grow a tree: start from the first terminal; repeatedly search from
     // the current tree to the nearest unconnected terminal.
-    s.net += 1;
-    s.in_tree[terminals[0] as usize] = s.net;
+    s.tree.fill(0);
+    s.pending.fill(0);
+    insert(&mut s.tree, terminals[0]);
     out.tiles.push(terminals[0]);
     for &t in &terminals[1..] {
-        s.pending[t as usize] = s.net;
+        insert(&mut s.pending, t);
     }
     for _ in 1..terminals.len() {
-        s.search += 1;
         let reached = match cost {
-            None => s.breadth_first(adj, &out.tiles),
+            None => s.wave.search(adj, &s.tree, &s.pending, &mut s.prev),
             Some(cost) => s.dijkstra(adj, &out.tiles, cost),
         };
         let target = match reached {
             Some(t) => t,
             None => break, // disconnected (cannot happen on a grid)
         };
-        // Trace back into the tree. Every tile off the tree was reached
-        // in this search, so its predecessor is valid.
+        // Trace back into the tree. Every tile off the tree on the path
+        // has a valid predecessor.
         let mut cur = target;
-        while s.in_tree[cur as usize] != s.net {
-            s.in_tree[cur as usize] = s.net;
+        while !contains(&s.tree, cur) {
+            insert(&mut s.tree, cur);
             out.tiles.push(cur);
             let (p, e) = s.prev[cur as usize];
             out.edges.push(e);
             cur = p;
         }
-        s.pending[target as usize] = 0;
+        s.pending[target as usize / 64] &= !(1 << (target % 64));
     }
     out
 }
@@ -299,7 +400,7 @@ pub fn route(
     }
     let terminals = net_terminals(fabric, nl, placement);
     let adj = Adjacency::new(fabric);
-    let mut scratch = Scratch::new(fabric.num_tiles() as usize);
+    let mut scratch = Scratch::new(fabric);
     let num_edges = fabric.num_edges() as usize;
     let channel_width = fabric.channel_width;
     let mut history = vec![0.0f64; num_edges];

@@ -1,9 +1,13 @@
 //! Router oracle: the optimized router (lazy edge costs, stamped scratch,
-//! breadth-first layers while every edge costs 1.0) must produce exactly
-//! the routes of the straightforward implementation it replaced — same
-//! edges and tiles per net in the same order, same wirelength, overflow,
-//! iteration count and peak occupancy. `reference` is a verbatim copy of
-//! that implementation; it is test-only and must not be "fixed".
+//! a bit-parallel wavefront while every edge costs 1.0) must produce
+//! exactly the routes of the straightforward implementation it replaced —
+//! same edges and tiles per net in the same order, same wirelength,
+//! overflow, iteration count and peak occupancy. The reference is a
+//! verbatim copy of that implementation, shared with `jitise-core`'s
+//! sweep-level oracle.
+
+#[path = "support/reference_route.rs"]
+mod reference;
 
 use jitise_cad::{
     check_connected, place, route, Fabric, PlaceEffort, Placement, RouteEffort, RoutedDesign,
@@ -11,186 +15,7 @@ use jitise_cad::{
 use jitise_pivpav::netlist::synthesize_core;
 use jitise_pivpav::Netlist;
 use proptest::prelude::*;
-
-/// The pre-optimization router: a full per-edge cost vector per net and
-/// full-fabric Dijkstra arrays per sink.
-mod reference {
-    use jitise_base::{Error, Result};
-    use jitise_cad::route::RoutedNet;
-    use jitise_cad::{Fabric, Placement, RouteEffort, RoutedDesign};
-    use jitise_pivpav::Netlist;
-
-    /// Terminal tiles of every net (driver + sinks + fixed port pins).
-    fn net_terminals(fabric: &Fabric, nl: &Netlist, placement: &Placement) -> Vec<Vec<u32>> {
-        let mut terminals = vec![Vec::new(); nl.num_nets as usize];
-        for (i, c) in nl.cells.iter().enumerate() {
-            let t = placement.cell_tile[i];
-            terminals[c.output as usize].push(t);
-            for &inp in &c.inputs {
-                terminals[inp as usize].push(t);
-            }
-        }
-        let mut in_row = 0u32;
-        let mut out_row = 0u32;
-        for p in &nl.ports {
-            for &net in &p.nets {
-                match p.dir {
-                    jitise_pivpav::PortDir::In => {
-                        terminals[net as usize].push(fabric.tile_at(0, in_row % fabric.height));
-                        in_row += 1;
-                    }
-                    jitise_pivpav::PortDir::Out => {
-                        terminals[net as usize]
-                            .push(fabric.tile_at(fabric.width - 1, out_row % fabric.height));
-                        out_row += 1;
-                    }
-                }
-            }
-        }
-        for t in terminals.iter_mut() {
-            t.sort_unstable();
-            t.dedup();
-        }
-        terminals
-    }
-
-    /// Routes one net as a BFS-grown Steiner tree under the given edge costs.
-    fn route_net(fabric: &Fabric, terminals: &[u32], cost: &[f64]) -> RoutedNet {
-        let mut out = RoutedNet::default();
-        if terminals.len() < 2 {
-            out.tiles = terminals.to_vec();
-            return out;
-        }
-        // Grow a tree: start from the first terminal; repeatedly run a BFS
-        // (uniform-cost search) from the current tree to the nearest
-        // unconnected terminal.
-        let mut in_tree = vec![false; fabric.num_tiles() as usize];
-        in_tree[terminals[0] as usize] = true;
-        out.tiles.push(terminals[0]);
-        let mut remaining: Vec<u32> = terminals[1..].to_vec();
-
-        while !remaining.is_empty() {
-            // Dijkstra from all tree tiles simultaneously.
-            let n = fabric.num_tiles() as usize;
-            let mut dist = vec![f64::INFINITY; n];
-            let mut prev = vec![u32::MAX; n];
-            let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>> =
-                Default::default();
-            for t in 0..n {
-                if in_tree[t] {
-                    dist[t] = 0.0;
-                    heap.push(std::cmp::Reverse((0, t as u32)));
-                }
-            }
-            let key = |d: f64| (d * 1024.0) as u64;
-            let mut reached: Option<u32> = None;
-            while let Some(std::cmp::Reverse((dk, tile))) = heap.pop() {
-                if dk > key(dist[tile as usize]) {
-                    continue;
-                }
-                if remaining.contains(&tile) {
-                    reached = Some(tile);
-                    break;
-                }
-                for nb in fabric.neighbors(tile) {
-                    let e = fabric.edge_id(tile, nb);
-                    let nd = dist[tile as usize] + cost[e as usize];
-                    if nd < dist[nb as usize] {
-                        dist[nb as usize] = nd;
-                        prev[nb as usize] = tile;
-                        heap.push(std::cmp::Reverse((key(nd), nb)));
-                    }
-                }
-            }
-            let target = match reached {
-                Some(t) => t,
-                None => break, // disconnected (cannot happen on a grid)
-            };
-            // Trace back into the tree.
-            let mut cur = target;
-            while !in_tree[cur as usize] {
-                in_tree[cur as usize] = true;
-                out.tiles.push(cur);
-                let p = prev[cur as usize];
-                if p == u32::MAX {
-                    break;
-                }
-                out.edges.push(fabric.edge_id(cur, p));
-                cur = p;
-            }
-            remaining.retain(|&t| t != target);
-        }
-        out
-    }
-
-    /// Routes every net of a placed design.
-    pub fn route(
-        fabric: &Fabric,
-        nl: &Netlist,
-        placement: &Placement,
-        effort: RouteEffort,
-    ) -> Result<RoutedDesign> {
-        if placement.cell_tile.len() != nl.cells.len() {
-            return Err(Error::Cad("placement does not match netlist".into()));
-        }
-        let terminals = net_terminals(fabric, nl, placement);
-        let num_edges = fabric.num_edges() as usize;
-        let mut history = vec![0.0f64; num_edges];
-        let mut result_nets: Vec<RoutedNet> = vec![RoutedNet::default(); nl.num_nets as usize];
-        let mut iterations = 0;
-        let mut overflow = 0;
-        let mut max_occ = 0;
-
-        for iter in 0..effort.max_iterations {
-            iterations = iter + 1;
-            let mut occupancy = vec![0u32; num_edges];
-            // Edge cost: base 1 + congestion history + current-use pressure.
-            for (net, terms) in terminals.iter().enumerate() {
-                if terms.len() < 2 {
-                    result_nets[net] = RoutedNet {
-                        edges: vec![],
-                        tiles: terms.clone(),
-                    };
-                    continue;
-                }
-                let cost: Vec<f64> = (0..num_edges)
-                    .map(|e| {
-                        let over = occupancy[e].saturating_sub(fabric.channel_width) as f64;
-                        1.0 + history[e] + 4.0 * over
-                    })
-                    .collect();
-                let routed = route_net(fabric, terms, &cost);
-                for &e in &routed.edges {
-                    occupancy[e as usize] += 1;
-                }
-                result_nets[net] = routed;
-            }
-            overflow = occupancy
-                .iter()
-                .filter(|&&o| o > fabric.channel_width)
-                .count() as u32;
-            max_occ = occupancy.iter().copied().max().unwrap_or(0);
-            if overflow == 0 {
-                break;
-            }
-            // Penalize congested edges for the next iteration.
-            for (e, &o) in occupancy.iter().enumerate() {
-                if o > fabric.channel_width {
-                    history[e] += (o - fabric.channel_width) as f64 * 0.8;
-                }
-            }
-        }
-
-        let wirelength = result_nets.iter().map(|n| n.edges.len() as u64).sum();
-        Ok(RoutedDesign {
-            nets: result_nets,
-            wirelength,
-            overflow,
-            iterations,
-            max_occupancy: max_occ,
-        })
-    }
-}
+use proptest::sample::select;
 
 /// Places `nl` and routes it with both routers; returns the new result
 /// after asserting the two are identical.
@@ -215,7 +40,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Uncongested cores: every job of the paper sweep legalizes in the
-    /// first iteration, on the breadth-first path.
+    /// first iteration, on the wavefront path.
     #[test]
     fn matches_reference_on_random_cores(
         luts in 4u32..400,
@@ -264,5 +89,66 @@ proptest! {
         let nl = synthesize_core("c", 16, luts, luts / 8, 2, seed);
         let (_, r) = routed_both(&fabric, &nl, RouteEffort::normal(), seed);
         prop_assert!(r.iterations > 1, "congested core must negotiate");
+    }
+}
+
+/// A fabric of `width` × `height` tiles with a DSP column every 9th
+/// column from x = 4, and `channel_width` wires per edge.
+fn shaped(width: u32, height: u32, channel_width: u32) -> Fabric {
+    Fabric {
+        width,
+        height,
+        dsp_columns: (0..width).filter(|x| x % 9 == 4).collect(),
+        channel_width,
+        ..Fabric::pr_region()
+    }
+}
+
+/// A core that fills about `fill_pct` % of `fabric`'s logic sites (at
+/// most 240 LUTs) and up to `dsps` of its DSP sites.
+fn fitting_core(fabric: &Fabric, bits: u32, fill_pct: u32, dsps: u32, seed: u64) -> Netlist {
+    let sites = fabric.total_logic_sites();
+    let luts = (sites * fill_pct / 100).clamp(1, 240);
+    let ffs = (sites - luts).min(luts / 8);
+    let dsps = dsps.min(fabric.total_dsp_sites());
+    synthesize_core("s", bits, luts, ffs, dsps, seed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The wavefront's word shifts depend on the fabric's width and tile
+    /// count: widths 1–3 (no or one inner column), 28 (the PR region),
+    /// 63, 64 (one row is exactly one word) and 65–70 (a row spans
+    /// words), at heights 1–20. Narrow channels send some of them through
+    /// negotiation too.
+    #[test]
+    fn matches_reference_on_fabric_shapes(
+        width in select(vec![1u32, 2, 3, 28, 63, 64, 65, 66, 67, 68, 69, 70]),
+        height in 1u32..21,
+        channel_width in select(vec![1u32, 2, 4, 72]),
+        bits in 1u32..9,
+        fill_pct in 1u32..60,
+        dsps in 0u32..4,
+        seed in 0u64..5000,
+    ) {
+        let fabric = shaped(width, height, channel_width);
+        let nl = fitting_core(&fabric, bits, fill_pct, dsps, seed);
+        let (p, r) = routed_both(&fabric, &nl, RouteEffort::normal(), seed);
+        check_connected(&fabric, &nl, &p, &r).expect("every tree connects, legal or not");
+    }
+
+    /// `Fabric::tiny()`: 4×4 tiles with 8-wire channels.
+    #[test]
+    fn matches_reference_on_tiny_fabric(
+        bits in 1u32..5,
+        fill_pct in 1u32..90,
+        dsps in 0u32..5,
+        seed in 0u64..5000,
+    ) {
+        let fabric = Fabric::tiny();
+        let nl = fitting_core(&fabric, bits, fill_pct, dsps, seed);
+        let (p, r) = routed_both(&fabric, &nl, RouteEffort::normal(), seed);
+        check_connected(&fabric, &nl, &p, &r).expect("every tree connects, legal or not");
     }
 }

@@ -73,11 +73,13 @@ impl EvalContext {
 
     /// A context whose pipeline runs record to `telemetry`.
     pub fn with_telemetry(telemetry: Telemetry) -> EvalContext {
+        // One build: a clone shares the database's records.
+        let db = CircuitDb::build();
         EvalContext {
-            db: CircuitDb::build(),
+            estimator: PivPavEstimator::with_db(db.clone()),
+            db,
             netlists: NetlistCache::new(),
             bitstreams: BitstreamCache::new(),
-            estimator: PivPavEstimator::new(),
             cost: CostModel::ppc405(),
             telemetry,
             cad_workers: 1,

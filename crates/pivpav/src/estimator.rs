@@ -27,8 +27,13 @@ pub struct PivPavEstimator {
 impl PivPavEstimator {
     /// Estimator with the default database and Woolcano parameters.
     pub fn new() -> Self {
+        Self::with_db(CircuitDb::build())
+    }
+
+    /// Estimator over `db` with the default Woolcano parameters.
+    pub fn with_db(db: CircuitDb) -> Self {
         PivPavEstimator {
-            db: CircuitDb::build(),
+            db,
             cost: CostModel::ppc405(),
             ci_period_ns: 1e9 / 300e6,
             invoke_overhead: 3,
