@@ -15,7 +15,7 @@
 //! * `store`    — recovery time and committed-prefix accounting under a
 //!   mid-write crash budget;
 //! * `pipeline` — end-to-end `specialize()` + `run_adaptive()` session
-//!   latency and modeled overhead;
+//!   latency, modeled overhead, and the session's CI executions;
 //! * `storm`    — phase-storm resilience: `run_storm()` over a rotating
 //!   hot set (detection, eviction, re-specialization counters, recovery
 //!   quality), invariant across CAD lanes, plus a crash-storm run (burst
@@ -69,7 +69,7 @@ use jitise_pivpav::PivPavEstimator;
 use jitise_serve::{run_serve, ServeConfig};
 use jitise_store::testfix::sample_entry;
 use jitise_store::{Record, Store, StoreOptions, TempDir};
-use jitise_telemetry::{Profiler, Telemetry};
+use jitise_telemetry::{names, Profiler, Telemetry};
 use jitise_vm::{CostModel, Interpreter, PredecodedModule, Value};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -784,7 +784,15 @@ fn bench_pipeline(seed: u64, smoke: bool) -> BenchArtifact {
     let tel = Telemetry::enabled();
     let ctx = EvalContext::with_telemetry(tel.clone());
     let _ = session(&ctx, &BitstreamCache::new());
-    art.set_profile(&Profiler::from_snapshot(&tel.snapshot()));
+    let snap = tel.snapshot();
+    // CI executions of the session's patched runs: the work the ASIP
+    // ratio rests on, counted identically by both VM tiers.
+    art.exact(
+        "pipeline.ci_calls",
+        "count",
+        snap.counter(names::VM_CI_CALLS),
+    );
+    art.set_profile(&Profiler::from_snapshot(&snap));
     art
 }
 

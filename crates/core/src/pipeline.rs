@@ -1357,6 +1357,7 @@ fn finalize_session(
                     // upgrade lands must rehydrate this tier.
                     if !op.cache_hit {
                         if let Some(store) = &config.store {
+                            let _span = cand_tel.span("store.append");
                             let _ = store.append(Record::CacheEntry(op.entry.clone().into()));
                         }
                     }
@@ -1498,6 +1499,7 @@ fn finalize_session(
                             // them). Fire-and-forget: a dead store must
                             // never fail the candidate.
                             if let Some(store) = &config.store {
+                                let _span = cand_tel.span("store.append");
                                 let _ = store.append(Record::CacheEntry(p.entry.clone().into()));
                             }
                         }
@@ -1569,6 +1571,7 @@ fn finalize_session(
                     );
                     newly_quarantined += 1;
                     if let Some(store) = &config.store {
+                        let _span = cand_tel.span("store.append");
                         let _ = store.append(Record::Quarantine {
                             signature,
                             reason: error.clone(),
@@ -1612,6 +1615,7 @@ fn finalize_session(
 
     // Journal the cumulative fault-ledger totals (latest-wins on replay).
     if let Some(store) = &config.store {
+        let _span = tel.span("store.append");
         let prior = store.state().totals;
         let _ = store.append(Record::FaultTotals(FaultTotals {
             sessions: prior.sessions + 1,

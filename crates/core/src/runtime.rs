@@ -1037,6 +1037,7 @@ pub fn run_storm(
                     if let Some(store) = &options.base.store {
                         // A dead store must not kill the session; the
                         // append failure is already counted by the store.
+                        let _span = tel.span("store.append");
                         let _ = store.append(Record::Evict { signature: sig });
                     }
                 }

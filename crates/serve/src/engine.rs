@@ -494,6 +494,7 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
                     evictions += 1;
                     tel.add(names::SERVE_CACHE_EVICTIONS, 1);
                     if let Some(store) = &config.store {
+                        let _span = tel.span("store.append");
                         let _ = store.append(Record::Evict { signature: sig });
                     }
                 }

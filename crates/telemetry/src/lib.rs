@@ -95,6 +95,8 @@ pub mod names {
     pub const VM_INSTRUCTIONS: &str = "vm.instructions_retired";
     /// Basic-block executions observed by the profiler.
     pub const VM_BLOCKS: &str = "vm.blocks_executed";
+    /// Custom instructions executed by the VM (either tier).
+    pub const VM_CI_CALLS: &str = "vm.ci_calls";
     /// Nets ripped up and re-routed by the PathFinder router.
     pub const ROUTER_RIPUPS: &str = "router.ripups";
     /// Negotiated-congestion router iterations.

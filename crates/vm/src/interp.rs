@@ -10,6 +10,7 @@
 //! ([`jitise_ir::passes::constfold`]) so that optimized and unoptimized
 //! code compute identical results — a property the proptest suite checks.
 
+use crate::ci::CiBinding;
 use crate::cost::CostModel;
 use crate::mem::Memory;
 use crate::predecode::{PredecodedModule, VmTier};
@@ -23,15 +24,35 @@ use jitise_ir::{
 use jitise_telemetry::{names, Telemetry, Value as TelValue};
 use std::sync::Arc;
 
-/// Executes loaded custom instructions on behalf of the interpreter.
+/// Executes loaded custom instructions (CIs) on behalf of the VM.
 ///
-/// The Woolcano architecture model implements this: it evaluates the
-/// candidate's original data-flow graph (hardware is functionally
-/// equivalent) and charges the *hardware* cycle count.
+/// The Woolcano architecture model implements this. A CI's value comes
+/// from its frozen datapath (`CiSemantics`, the hardware's functional
+/// model) and its cost is the *hardware* cycle count; a call also marks
+/// the slot as used for LRU eviction.
+///
+/// Both tiers call [`Self::exec_custom`] per executed CI unless the
+/// handler binds: before each fast-tier run the VM calls [`Self::bind`],
+/// and if that returns a [`CiBinding`] the run executes the bound slots'
+/// lowered programs itself, without calling the handler, then returns the
+/// binding through [`Self::retire`] on both the Ok and the Err path.
+/// Slots missing from the binding still go through `exec_custom`. The
+/// interpreter tier never binds: `exec_custom` stays the reference.
 pub trait CustomHandler {
     /// Executes the custom instruction in `slot`; returns the result value
     /// and the cycles to charge.
     fn exec_custom(&self, slot: u32, args: &[Value]) -> Result<(Value, u64)>;
+
+    /// The loaded CIs as lowered programs for one fast-tier run, or `None`
+    /// (the default) to be called per CI. A handler that binds must not
+    /// change its slots until the matching [`Self::retire`].
+    fn bind(&self) -> Option<CiBinding> {
+        None
+    }
+
+    /// Ends a bound run: applies the effects of the run's calls that the
+    /// binding recorded (see [`CiBinding::last_calls`]).
+    fn retire(&self, _binding: CiBinding) {}
 }
 
 /// Interpreter limits and sizing.
@@ -80,6 +101,11 @@ pub struct Interpreter<'m> {
     pub(crate) steps: u64,
     pub(crate) cycles: u64,
     pub(crate) blocks: u64,
+    /// Custom instructions executed (both tiers count a call once it
+    /// returns `Ok`).
+    pub(crate) ci_calls: u64,
+    /// The handler's binding for the fast-tier run in progress.
+    pub(crate) ci_binding: Option<CiBinding>,
     tier: VmTier,
     predecoded: Option<Arc<PredecodedModule>>,
     /// Recycled fast-tier call frames (see [`crate::predecode::Frame`]).
@@ -111,6 +137,8 @@ impl<'m> Interpreter<'m> {
             steps: 0,
             cycles: 0,
             blocks: 0,
+            ci_calls: 0,
+            ci_binding: None,
             tier: VmTier::Interp,
             predecoded: None,
             fast_frames: Vec::new(),
@@ -181,6 +209,7 @@ impl<'m> Interpreter<'m> {
         let start_steps = self.steps;
         let start_cycles = self.cycles;
         let start_blocks = self.blocks;
+        let start_ci_calls = self.ci_calls;
         let mut span = self.telemetry.span("vm.run");
         let ret = match self.tier {
             VmTier::Interp => self.exec_func(fid, args, 0)?,
@@ -193,7 +222,12 @@ impl<'m> Interpreter<'m> {
                         pd
                     }
                 };
-                crate::predecode::exec_fast(self, &pd, fid, args, 0)?
+                self.ci_binding = self.custom.and_then(|h| h.bind());
+                let ret = crate::predecode::exec_fast(self, &pd, fid, args, 0);
+                if let (Some(h), Some(binding)) = (self.custom, self.ci_binding.take()) {
+                    h.retire(binding);
+                }
+                ret?
             }
         };
         let out = ExecOutcome {
@@ -206,9 +240,12 @@ impl<'m> Interpreter<'m> {
             span.field("func", TelValue::Str(self.module.func(fid).name.clone()));
             span.field("steps", TelValue::U64(out.steps));
             span.field("cycles", TelValue::U64(out.cycles));
+            let ci_calls = self.ci_calls - start_ci_calls;
+            span.field("ci_calls", TelValue::U64(ci_calls));
             self.telemetry.add(names::VM_INSTRUCTIONS, out.steps);
             self.telemetry
                 .add(names::VM_BLOCKS, self.blocks - start_blocks);
+            self.telemetry.add(names::VM_CI_CALLS, ci_calls);
         }
         Ok(out)
     }
@@ -392,6 +429,7 @@ impl<'m> Interpreter<'m> {
                             vals.push(self.eval_operand(f, &regs, args, *a)?);
                         }
                         let (v, hw_cycles) = handler.exec_custom(*slot, &vals)?;
+                        self.ci_calls += 1;
                         extra_cycles = hw_cycles;
                         Some(v)
                     }
@@ -854,6 +892,101 @@ mod tests {
         // Without a handler the same program must error.
         let mut vm = Interpreter::new(&m);
         assert!(vm.run("main", &[Value::I(21)]).is_err());
+    }
+
+    /// What a retired binding reported: its calls and `last_calls`.
+    type Retired = (u64, Vec<(u32, u64)>);
+
+    /// A handler that binds slot 0 (`x * 2`) but not slot 1, and counts
+    /// what the VM asks of it.
+    #[derive(Default)]
+    struct Binder {
+        per_call: std::cell::Cell<u64>,
+        binds: std::cell::Cell<u64>,
+        retired: std::cell::RefCell<Vec<Retired>>,
+    }
+
+    impl CustomHandler for Binder {
+        fn exec_custom(&self, slot: u32, args: &[Value]) -> Result<(Value, u64)> {
+            self.per_call.set(self.per_call.get() + 1);
+            match slot {
+                0 => Ok((Value::I(((args[0].as_i() * 2) << 32) >> 32), 5)),
+                1 => Ok((Value::I(args[0].as_i() + 1), 3)),
+                _ => Err(Error::Arch(format!("no CI loaded in slot {slot}"))),
+            }
+        }
+
+        fn bind(&self) -> Option<CiBinding> {
+            self.binds.set(self.binds.get() + 1);
+            let mut b = crate::ci::CiProgramBuilder::new(&[Type::I32]);
+            let x = b.input(0).unwrap();
+            let two = b.constant(jitise_ir::Imm::i32(2));
+            let y = b.bin(jitise_ir::BinOp::Mul, Type::I32, x, two).unwrap();
+            let mut binding = CiBinding::new(9);
+            binding.insert(0, Arc::new(b.finish(y)), 5);
+            Some(binding)
+        }
+
+        fn retire(&self, binding: CiBinding) {
+            assert_eq!(binding.token(), 9);
+            let last = binding.last_calls().collect();
+            self.retired.borrow_mut().push((binding.calls(), last));
+        }
+    }
+
+    /// `main(n)`: `n` iterations of `acc = ci0(acc) + ci1(i)`, then a call
+    /// to `slot` (a trap when unloaded).
+    fn ci_loop(slot: u32) -> Module {
+        let mut b = FunctionBuilder::new("main", vec![Type::I32], Type::I32);
+        let cell = b.alloca(4);
+        b.store(Op::ci32(1), cell);
+        b.counted_loop("i", Op::ci32(0), Op::Arg(0), |b, i| {
+            let acc = b.load(Type::I32, cell);
+            let d = Op::Inst(b.push(InstKind::Custom(0, vec![acc]), Type::I32));
+            let e = Op::Inst(b.push(InstKind::Custom(1, vec![i]), Type::I32));
+            let s = b.add(d, e);
+            b.store(s, cell);
+        });
+        let acc = b.load(Type::I32, cell);
+        let r = Op::Inst(b.push(InstKind::Custom(slot, vec![acc]), Type::I32));
+        b.ret(r);
+        module_of(b.finish())
+    }
+
+    #[test]
+    fn fast_tier_runs_bound_cis_without_the_handler() {
+        let m = ci_loop(0);
+        let run = |tier: VmTier| {
+            let h = Binder::default();
+            let mut vm = Interpreter::new(&m);
+            vm.set_tier(tier);
+            vm.set_custom_handler(&h);
+            let out = vm.run("main", &[Value::I(10)]).unwrap();
+            (out, vm.ci_calls, h)
+        };
+        let (slow, slow_calls, hi) = run(VmTier::Interp);
+        let (fast, fast_calls, hf) = run(VmTier::Fast);
+        assert_eq!(slow, fast);
+        assert_eq!((slow_calls, fast_calls), (21, 21));
+        // The interpreter never binds; the fast tier binds once and only
+        // the unbound slot 1 reaches the handler.
+        assert_eq!((hi.binds.get(), hi.per_call.get()), (0, 21));
+        assert_eq!((hf.binds.get(), hf.per_call.get()), (1, 10));
+        // 11 bound calls into slot 0; the last was the 11th.
+        assert_eq!(*hf.retired.borrow(), vec![(11, vec![(0, 11)])]);
+    }
+
+    #[test]
+    fn bound_run_retires_on_the_error_path() {
+        let m = ci_loop(2);
+        let h = Binder::default();
+        let mut vm = Interpreter::new(&m);
+        vm.set_tier(VmTier::Fast);
+        vm.set_custom_handler(&h);
+        let err = vm.run("main", &[Value::I(4)]).unwrap_err();
+        assert!(err.to_string().contains("no CI loaded in slot 2"), "{err}");
+        assert_eq!(*h.retired.borrow(), vec![(4, vec![(0, 4)])]);
+        assert!(vm.ci_binding.is_none());
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //! [`jitise_ir::InstKind::Custom`] opcodes through a
 //! [`interp::CustomHandler`], which the Woolcano architecture model
 //! implements. This is how specialized binaries run after the adaptation
-//! phase.
+//! phase. On the fast tier, a handler can instead [`CustomHandler::bind`]
+//! its loaded CIs once per run as pre-lowered [`ci::CiProgram`]s.
 
+pub mod ci;
 pub mod cost;
 pub mod coverage;
 pub mod exec_model;
@@ -34,6 +36,7 @@ pub mod predecode;
 pub mod profile;
 pub mod value;
 
+pub use ci::{CiBinding, CiProgram, CiProgramBuilder, CiRef};
 pub use cost::CostModel;
 pub use interp::{CustomHandler, ExecOutcome, Interpreter, RunConfig};
 pub use predecode::{PredecodedModule, VmTier};

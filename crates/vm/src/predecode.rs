@@ -131,7 +131,7 @@ impl Norm {
 /// left by `64 - bits` then arithmetically right reproduces
 /// truncate-then-sign-extend in two ALU ops. Zero (identity) for 64-bit and
 /// width-0 types, matching [`Type::sext`]/[`Type::trunc`].
-fn wrap_shift(ty: Type) -> u32 {
+pub(crate) fn wrap_shift(ty: Type) -> u32 {
     let b = ty.bits();
     if b == 0 || b >= 64 {
         0
@@ -2498,6 +2498,36 @@ fn fuel_err(max_steps: u64, fname: &str) -> Error {
     Error::Vm(format!("step budget {max_steps} exhausted in {fname}"))
 }
 
+/// Executes one `Custom` op: a slot bound for this run runs its lowered
+/// program, reading the arguments straight into its window; anything else
+/// (no binding, unbound slot) gathers them and asks the handler. Out of
+/// line so the dispatch loop, which base modules never send here, stays
+/// small.
+#[inline(never)]
+fn exec_custom_op(
+    vm: &mut Interpreter<'_>,
+    regs: &[Value],
+    defined: &[bool],
+    f: &FastFunc,
+    slot: u32,
+    args: &[Src],
+    call_vals: &mut Vec<Value>,
+) -> Result<(Value, u64)> {
+    let handler = vm
+        .custom
+        .ok_or_else(|| Error::Vm("custom instruction without handler".into()))?;
+    if let Some(binding) = vm.ci_binding.as_mut() {
+        if let Some(r) = binding.call(slot, args.len(), |i| read(regs, defined, f, args[i])) {
+            return r;
+        }
+    }
+    call_vals.clear();
+    for a in args {
+        call_vals.push(read(regs, defined, f, *a)?);
+    }
+    handler.exec_custom(slot, call_vals)
+}
+
 /// Pooled per-call execution state (register file, definedness map, dense
 /// profile rows, gather buffers). Recycled through
 /// [`Interpreter::fast_frames`] so steady-state calls allocate nothing.
@@ -2998,15 +3028,9 @@ fn run_blocks(
                     slot,
                     args: call_args,
                 } => {
-                    let handler = vm
-                        .custom
-                        .ok_or_else(|| Error::Vm("custom instruction without handler".into()))?;
-                    call_vals.clear();
-                    for a in call_args.iter() {
-                        let v = read(regs, defined, f, *a)?;
-                        call_vals.push(v);
-                    }
-                    let (v, hw_cycles) = handler.exec_custom(*slot, call_vals)?;
+                    let (v, hw_cycles) =
+                        exec_custom_op(vm, regs, defined, f, *slot, call_args, call_vals)?;
+                    vm.ci_calls += 1;
                     block_cycles += hw_cycles;
                     write(regs, defined, fi.dst, v);
                 }

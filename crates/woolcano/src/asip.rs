@@ -14,7 +14,7 @@ use jitise_cad::{Bitstream, InstallTier, TimingReport};
 use jitise_ir::{Dfg, Function};
 use jitise_ise::Candidate;
 use jitise_telemetry::{names, Telemetry, Value as TelValue};
-use jitise_vm::{CostModel, CustomHandler, Value};
+use jitise_vm::{CiBinding, CostModel, CustomHandler, Value};
 use std::sync::Mutex;
 
 /// The Woolcano machine.
@@ -157,6 +157,11 @@ impl Woolcano {
         let c = self.controller.lock().expect("lock");
         (c.loads, c.evictions, c.occupied(), c.capacity())
     }
+
+    /// The slot file's LRU state (see [`ReconfigController::lru_state`]).
+    pub fn lru_state(&self) -> (u64, Vec<Option<u64>>) {
+        self.controller.lock().expect("lock").lru_state()
+    }
 }
 
 impl CustomHandler for Woolcano {
@@ -169,6 +174,16 @@ impl CustomHandler for Woolcano {
         let cycles = ci.hw_cycles;
         ctl.touch(slot);
         Ok((value, cycles))
+    }
+
+    /// Copies every slot's lowered program and latency under one lock.
+    fn bind(&self) -> Option<CiBinding> {
+        self.controller.lock().expect("lock").bind()
+    }
+
+    /// Applies the run's touches under one more lock.
+    fn retire(&self, binding: CiBinding) {
+        self.controller.lock().expect("lock").retire(binding);
     }
 }
 
@@ -313,6 +328,63 @@ mod tests {
         for n in [0i64, 1, 7, 333] {
             measure_speedup(&base, &patched, &machine, "main", &[Value::I(n)]).unwrap();
         }
+    }
+
+    /// Installs `x * tag + 1` (one i32 input) on `machine` through a tiny
+    /// real CAD flow; returns the slot.
+    fn install_scaled(machine: &Woolcano, tag: i32) -> u32 {
+        let mut b = FunctionBuilder::new("f", vec![Type::I32], Type::I32);
+        let x = b.mul(Op::Arg(0), Op::ci32(tag));
+        let y = b.add(x, Op::ci32(1));
+        b.ret(y);
+        let f = b.finish();
+        let dfg = Dfg::build(&f, BlockId(0));
+        let key = BlockKey::new(FuncId(0), BlockId(0));
+        let cand = jitise_ise::maxmiso(&f, &dfg, key, &ForbiddenPolicy::default(), 2)
+            .candidates
+            .remove(0);
+        let fabric = jitise_cad::Fabric::tiny();
+        let nl = jitise_pivpav::netlist::synthesize_core("c", 4, 8, 0, 0, tag as u64);
+        let p = jitise_cad::place(&fabric, &nl, jitise_cad::PlaceEffort::fast(), 1).unwrap();
+        let r = jitise_cad::route(&fabric, &nl, &p, jitise_cad::RouteEffort::fast()).unwrap();
+        let bs = jitise_cad::bitgen(&fabric, &nl, &p, &r, true);
+        machine.install(&f, &dfg, &cand, 4, bs).unwrap()
+    }
+
+    #[test]
+    fn bound_fast_run_leaves_the_per_call_lru_state() {
+        // main(n): n iterations of acc = ci0(acc) + ci1(i), then ci0(acc):
+        // slot 1's last call is the loop's last, slot 0's the final one.
+        let mut b = FunctionBuilder::new("main", vec![Type::I32], Type::I32);
+        let cell = b.alloca(4);
+        b.store(Op::ci32(1), cell);
+        b.counted_loop("i", Op::ci32(0), Op::Arg(0), |b, i| {
+            let acc = b.load(Type::I32, cell);
+            let d = Op::Inst(b.push(jitise_ir::InstKind::Custom(0, vec![acc]), Type::I32));
+            let e = Op::Inst(b.push(jitise_ir::InstKind::Custom(1, vec![i]), Type::I32));
+            let s = b.add(d, e);
+            b.store(s, cell);
+        });
+        let acc = b.load(Type::I32, cell);
+        let r = Op::Inst(b.push(jitise_ir::InstKind::Custom(0, vec![acc]), Type::I32));
+        b.ret(r);
+        let mut m = Module::new("two_cis");
+        m.add_func(b.finish());
+
+        let run = |tier: jitise_vm::VmTier| {
+            let machine = Woolcano::new(3);
+            assert_eq!(install_scaled(&machine, 3), 0);
+            assert_eq!(install_scaled(&machine, 5), 1);
+            let mut vm = jitise_vm::Interpreter::new(&m);
+            vm.set_tier(tier);
+            vm.set_custom_handler(&machine);
+            let out = vm.run("main", &[Value::I(6)]).unwrap();
+            (out, machine.lru_state())
+        };
+        let interp = run(jitise_vm::VmTier::Interp);
+        assert_eq!(interp, run(jitise_vm::VmTier::Fast));
+        // Installs leave clock 2; then 13 calls, slot 1 last at call 12.
+        assert_eq!(interp.1, (15, vec![Some(15), Some(14), None]));
     }
 
     #[test]

@@ -5,10 +5,16 @@
 //! models the slot file (a bounded set of reconfigurable instruction
 //! sites) and the reconfiguration latency (bitstream size / ICAP
 //! bandwidth), and enforces bitstream integrity (CRC) before activation.
+//!
+//! Each install also lowers the CI into the fast tier's typed program, so
+//! a run can [`ReconfigController::bind`] every loaded slot once and apply
+//! its LRU touches at [`ReconfigController::retire`] instead of per call.
 
 use crate::semantics::CiSemantics;
 use jitise_base::{Error, Result, SimTime};
 use jitise_cad::{Bitstream, InstallTier};
+use jitise_vm::{CiBinding, CiProgram};
+use std::sync::Arc;
 
 /// ICAP throughput: 32-bit word per cycle at 100 MHz = 400 MB/s
 /// theoretical; sustained practice is lower.
@@ -23,6 +29,9 @@ pub struct LoadedCi {
     pub signature: u64,
     /// Functional model.
     pub semantics: CiSemantics,
+    /// The functional model lowered for the fast tier, once per install
+    /// (`None` if [`CiSemantics::lower`] declined it).
+    program: Option<Arc<CiProgram>>,
     /// Hardware latency in CPU cycles (from the implemented design's
     /// timing plus the FCB interface overhead).
     pub hw_cycles: u64,
@@ -41,6 +50,9 @@ pub struct LoadedCi {
 pub struct ReconfigController {
     slots: Vec<Option<LoadedCi>>,
     clock: u64,
+    /// Bumped by every change to the slots or their LRU state and by every
+    /// bind, so [`Self::retire`] can tell that nothing moved while bound.
+    epoch: u64,
     /// Accumulated reconfiguration time.
     pub total_reconfig_time: SimTime,
     /// Number of loads performed.
@@ -58,6 +70,7 @@ impl ReconfigController {
         ReconfigController {
             slots: (0..num_slots).map(|_| None).collect(),
             clock: 0,
+            epoch: 0,
             total_reconfig_time: SimTime::ZERO,
             loads: 0,
             evictions: 0,
@@ -107,6 +120,7 @@ impl ReconfigController {
             )));
         }
         self.clock += 1;
+        self.epoch += 1;
         // Already loaded? Refresh and return.
         if let Some(slot) = self.slot_of(signature) {
             self.slots[slot as usize]
@@ -132,10 +146,12 @@ impl ReconfigController {
         };
         self.total_reconfig_time += Self::reconfig_time(&bitstream);
         self.loads += 1;
+        let program = semantics.lower().map(Arc::new);
         self.slots[slot] = Some(LoadedCi {
             slot: slot as u32,
             signature,
             semantics,
+            program,
             hw_cycles,
             bitstream,
             tier,
@@ -166,6 +182,7 @@ impl ReconfigController {
         }
         self.total_reconfig_time += Self::reconfig_time(&bitstream);
         self.clock += 1;
+        self.epoch += 1;
         ci.bitstream = bitstream;
         ci.hw_cycles = hw_cycles;
         ci.tier = InstallTier::Full;
@@ -190,9 +207,52 @@ impl ReconfigController {
     /// Marks a slot as used (LRU bookkeeping on execution).
     pub fn touch(&mut self, slot: u32) {
         self.clock += 1;
+        self.epoch += 1;
         if let Some(Some(ci)) = self.slots.get_mut(slot as usize) {
             ci.last_use = self.clock;
         }
+    }
+
+    /// Binds every loaded slot's lowered program and latency for one run,
+    /// or `None` if some loaded CI has no program (the run then calls per
+    /// CI). The slots must not change until [`Self::retire`].
+    pub fn bind(&mut self) -> Option<CiBinding> {
+        let mut binding = CiBinding::new(self.epoch + 1);
+        for ci in self.slots.iter().flatten() {
+            binding.insert(ci.slot, Arc::clone(ci.program.as_ref()?), ci.hw_cycles);
+        }
+        self.epoch += 1;
+        Some(binding)
+    }
+
+    /// Applies a bound run's touches. The run's `n` calls, touched one by
+    /// one, would advance `clock` by `n` and leave each called slot with
+    /// `last_use = clock₀ + k`, `k` the 1-based index of its last call;
+    /// this sets exactly that in one step.
+    ///
+    /// # Panics
+    /// If an install, upgrade, touch or another bind happened since
+    /// `binding` was made: the deferred touches would then be misordered.
+    pub fn retire(&mut self, binding: CiBinding) {
+        assert_eq!(
+            self.epoch,
+            binding.token(),
+            "CI slot file changed while a run was bound to it"
+        );
+        let clock0 = self.clock;
+        self.clock += binding.calls();
+        for (slot, k) in binding.last_calls() {
+            if let Some(Some(ci)) = self.slots.get_mut(slot as usize) {
+                ci.last_use = clock0 + k;
+            }
+        }
+    }
+
+    /// The LRU state: the use clock and each slot's last use (`None` for
+    /// an empty slot).
+    pub fn lru_state(&self) -> (u64, Vec<Option<u64>>) {
+        let uses = self.slots.iter().map(|s| s.as_ref().map(|ci| ci.last_use));
+        (self.clock, uses.collect())
     }
 
     /// Number of occupied slots.
@@ -348,6 +408,44 @@ mod tests {
         let mut ctl = ReconfigController::new(2);
         let (sig, _, bs) = dummy_ci(5);
         assert!(ctl.upgrade(sig, 6, bs).is_err());
+    }
+
+    #[test]
+    fn bind_copies_every_slot_and_retire_of_an_idle_run_changes_nothing() {
+        let mut ctl = ReconfigController::new(3);
+        let (s1, sem1, bs1) = dummy_ci(1);
+        let (s2, sem2, bs2) = dummy_ci(2);
+        ctl.load(s1, sem1, 5, bs1).unwrap();
+        ctl.load(s2, sem2, 5, bs2).unwrap();
+        let before = ctl.lru_state();
+        assert_eq!(before, (2, vec![Some(1), Some(2), None]));
+        let binding = ctl.bind().expect("every loaded CI lowers");
+        assert_eq!(binding.calls(), 0);
+        ctl.retire(binding);
+        assert_eq!(ctl.lru_state(), before);
+    }
+
+    #[test]
+    #[should_panic(expected = "CI slot file changed while a run was bound")]
+    fn install_between_bind_and_retire_trips_the_assertion() {
+        let mut ctl = ReconfigController::new(2);
+        let (s1, sem1, bs1) = dummy_ci(1);
+        let (s2, sem2, bs2) = dummy_ci(2);
+        ctl.load(s1, sem1, 5, bs1).unwrap();
+        let binding = ctl.bind().unwrap();
+        ctl.load(s2, sem2, 5, bs2).unwrap();
+        ctl.retire(binding);
+    }
+
+    #[test]
+    #[should_panic(expected = "CI slot file changed while a run was bound")]
+    fn second_bind_before_retire_trips_the_assertion() {
+        let mut ctl = ReconfigController::new(2);
+        let (s1, sem1, bs1) = dummy_ci(1);
+        ctl.load(s1, sem1, 5, bs1).unwrap();
+        let first = ctl.bind().unwrap();
+        let _second = ctl.bind().unwrap();
+        ctl.retire(first);
     }
 
     #[test]

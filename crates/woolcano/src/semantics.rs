@@ -9,13 +9,15 @@
 //! CI input ports, earlier members, or baked-in constants.
 //!
 //! Evaluation reuses the constant-folding kernels so hardware, interpreter
-//! and optimizer semantics can never diverge.
+//! and optimizer semantics can never diverge. [`CiSemantics::eval`] is the
+//! reference; [`CiSemantics::lower`] decodes the same datapath once per
+//! install into the fast tier's typed [`CiProgram`].
 
 use jitise_base::{Error, Result};
 use jitise_ir::passes::constfold::{fold_cmp, fold_float_bin, fold_int_bin, fold_un};
 use jitise_ir::{BinOp, CmpOp, Dfg, Function, Imm, InstKind, Operand, Type, UnOp};
 use jitise_ise::Candidate;
-use jitise_vm::Value;
+use jitise_vm::{CiProgram, CiProgramBuilder, CiRef, Value};
 
 /// An operand of a frozen CI operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,6 +50,8 @@ pub struct CiSemantics {
     pub ops: Vec<CiOp>,
     /// Number of input ports.
     pub num_inputs: u32,
+    /// Type of each input port, in port order.
+    pub input_tys: Vec<Type>,
     /// Which op produces the CI result (index into `ops`).
     pub output_op: u32,
 }
@@ -129,6 +133,10 @@ impl CiSemantics {
         Ok(CiSemantics {
             ops,
             num_inputs: inputs.len() as u32,
+            input_tys: inputs
+                .iter()
+                .map(|&op| jitise_ir::verify::operand_ty(f, op))
+                .collect(),
             output_op,
         })
     }
@@ -152,6 +160,47 @@ impl CiSemantics {
             }
         }
         inputs
+    }
+
+    /// Lowers the datapath into the fast tier's typed program, which
+    /// evaluates bit-identically to [`Self::eval`] with the same error
+    /// strings. `None` when the ports, operand references or operand types
+    /// are ones the program cannot represent exactly (never for a frozen
+    /// candidate of verified IR); such a CI keeps the per-call path.
+    pub fn lower(&self) -> Option<CiProgram> {
+        if self.input_tys.len() != self.num_inputs as usize {
+            return None;
+        }
+        let mut b = CiProgramBuilder::new(&self.input_tys);
+        let mut nodes: Vec<CiRef> = Vec::with_capacity(self.ops.len());
+        for op in &self.ops {
+            let mut arg = |a: CiArg| match a {
+                CiArg::Input(i) => b.input(i),
+                CiArg::Node(n) => nodes.get(n as usize).copied(),
+                CiArg::Const(imm) => Some(b.constant(imm)),
+            };
+            let node = match op {
+                CiOp::Bin(o, ty, x, y) => {
+                    let (x, y) = (arg(*x)?, arg(*y)?);
+                    b.bin(*o, *ty, x, y)?
+                }
+                CiOp::Un(o, ty, src_ty, x) => {
+                    let x = arg(*x)?;
+                    b.un(*o, *ty, *src_ty, x)
+                }
+                CiOp::Cmp(o, ty, x, y) => {
+                    let (x, y) = (arg(*x)?, arg(*y)?);
+                    b.cmp(*o, *ty, x, y)?
+                }
+                CiOp::Select(c, x, y) => {
+                    let (c, x, y) = (arg(*c)?, arg(*x)?, arg(*y)?);
+                    b.select(c, x, y)?
+                }
+            };
+            nodes.push(node);
+        }
+        let output = *nodes.get(self.output_op as usize)?;
+        Some(b.finish(output))
     }
 
     /// Evaluates the CI on input values.

@@ -4,15 +4,20 @@
 //!   programs;
 //! * MAXMISO invariants hold on randomized data-flow graphs;
 //! * freezing + patching a candidate preserves program results under the
-//!   Woolcano custom-instruction handler.
+//!   Woolcano custom-instruction handler, and a patched run on a real
+//!   `Woolcano` is tier-identical in outcome, error string and LRU state
+//!   (the fast tier runs bound, lowered CIs; the interpreter calls per CI).
 
 use jitise::ir::passes::{optimize_function, OptLevel};
 use jitise::ir::{
     BinOp, BlockId, CmpOp, Dfg, FuncId, FunctionBuilder, Module, Operand as Op, Type,
 };
 use jitise::ise::{maxmiso, ForbiddenPolicy};
-use jitise::vm::{BlockKey, CostModel, CustomHandler, Interpreter, RunConfig, Value, VmTier};
-use jitise::woolcano::freeze_and_patch;
+use jitise::vm::{
+    BlockKey, CostModel, CustomHandler, ExecOutcome, Interpreter, RunConfig, Value, VmTier,
+};
+use jitise::woolcano::{freeze_and_patch, Woolcano};
+use jitise_store::testfix::tiny_bitstream;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -74,6 +79,55 @@ fn run_module(m: &Module, arg: i64) -> Option<Value> {
     vm.run("main", &[Value::I(arg)]).expect("program runs").ret
 }
 
+/// The largest single-output MAXMISO candidate of function 0.
+fn largest_candidate(m: &Module) -> Option<(BlockId, jitise::ise::Candidate)> {
+    let f = m.func(FuncId(0));
+    let mut best: Option<(BlockId, jitise::ise::Candidate)> = None;
+    for bid in f.block_ids() {
+        let dfg = Dfg::build(f, bid);
+        for c in maxmiso(
+            f,
+            &dfg,
+            BlockKey::new(FuncId(0), bid),
+            &ForbiddenPolicy::default(),
+            2,
+        )
+        .candidates
+        {
+            if c.outputs == 1
+                && best
+                    .as_ref()
+                    .map(|(_, b)| c.len() > b.len())
+                    .unwrap_or(true)
+            {
+                best = Some((bid, c));
+            }
+        }
+    }
+    best
+}
+
+/// What a patched run leaves behind: its outcome (or error string) and the
+/// machine's LRU state (`clock`, per-slot `last_use`).
+type PatchedRun = (Result<ExecOutcome, String>, (u64, Vec<Option<u64>>));
+
+/// Runs `patched` on `tier` against a fresh 4-slot `Woolcano` loaded by
+/// `install` (which installs the CI the patch references in slot 0).
+fn run_on_woolcano(
+    patched: &Module,
+    tier: VmTier,
+    arg: i64,
+    install: &dyn Fn(&Woolcano),
+) -> PatchedRun {
+    let machine = Woolcano::new(4);
+    install(&machine);
+    let mut vm = Interpreter::new(patched);
+    vm.set_tier(tier);
+    vm.set_custom_handler(&machine);
+    let out = vm.run("main", &[Value::I(arg)]).map_err(|e| e.to_string());
+    (out, machine.lru_state())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -121,19 +175,7 @@ proptest! {
         let mut patched = base.clone();
         // Find the largest candidate anywhere and patch it.
         let f0 = patched.func(FuncId(0)).clone();
-        let mut best: Option<(BlockId, jitise::ise::Candidate)> = None;
-        for bid in f0.block_ids() {
-            let dfg = Dfg::build(&f0, bid);
-            for c in maxmiso(
-                &f0, &dfg, BlockKey::new(FuncId(0), bid), &ForbiddenPolicy::default(), 2,
-            ).candidates {
-                if c.outputs == 1
-                    && best.as_ref().map(|(_, b)| c.len() > b.len()).unwrap_or(true)
-                {
-                    best = Some((bid, c));
-                }
-            }
-        }
+        let best = largest_candidate(&patched);
         prop_assume!(best.is_some());
         let (bid, cand) = best.unwrap();
         let dfg = Dfg::build(&f0, bid);
@@ -151,7 +193,20 @@ proptest! {
         let mut vm = Interpreter::new(&patched);
         vm.set_custom_handler(&h);
         let got = vm.run("main", &[Value::I(arg)]).expect("patched runs").ret;
-        prop_assert_eq!(run_module(&base, arg), got);
+        prop_assert_eq!(run_module(&base, arg), got.clone());
+
+        // On a real Woolcano both tiers leave the same outcome and the
+        // same LRU state; the slot is touched once per executed CI.
+        let install = |m: &Woolcano| {
+            let slot = m.install(&f0, &dfg, &cand, 2, tiny_bitstream(1)).expect("install");
+            assert_eq!(slot, 0, "the patch references slot 0");
+        };
+        let interp = run_on_woolcano(&patched, VmTier::Interp, arg, &install);
+        let fast = run_on_woolcano(&patched, VmTier::Fast, arg, &install);
+        prop_assert_eq!(&interp, &fast);
+        let out = interp.0.expect("patched runs on the machine");
+        prop_assert_eq!(out.ret, got);
+        prop_assert!(interp.1 .0 > 1, "the patched loop executed its CI");
     }
 
     #[test]
@@ -315,6 +370,75 @@ proptest! {
         let mut o = m.clone();
         jitise::ir::passes::optimize_module(&mut o, OptLevel::O3);
         assert_tiers_agree(&o, &[Value::I(sel)], max_steps)?;
+    }
+}
+
+/// A CI that divides by `5 - i` inside a loop traps at `i = 5`. Both tiers
+/// must report the same error and leave the same LRU state: the five
+/// calls before the trap are retired (clock 1 + 5), the trapping call and
+/// an installed but never called slot are not.
+#[test]
+fn patched_trap_is_tier_identical() {
+    let mut b = FunctionBuilder::new("main", vec![Type::I32], Type::I32);
+    let cell = b.alloca(4);
+    b.store(Op::ci32(7), cell);
+    b.counted_loop("i", Op::ci32(0), Op::Arg(0), |b, i| {
+        let v = b.load(Type::I32, cell);
+        let d = b.sub(Op::ci32(5), i);
+        let q = b.sdiv(Op::ci32(1000), d);
+        let u = b.add(q, v);
+        let w = b.xor(u, Op::ci32(0x55));
+        b.store(w, cell);
+    });
+    let out = b.load(Type::I32, cell);
+    b.ret(out);
+    let mut base = Module::new("trap");
+    base.add_func(b.finish());
+
+    let mut patched = base.clone();
+    let f0 = patched.func(FuncId(0)).clone();
+    let (bid, cand) = largest_candidate(&patched).expect("loop-body candidate");
+    let dfg = Dfg::build(&f0, bid);
+    assert!(cand.len() >= 3, "the division sits inside the CI");
+    freeze_and_patch(patched.func_mut(FuncId(0)), &dfg, &cand, 0).expect("patch");
+
+    // A second CI in slot 1 that the module never calls.
+    let mut d = FunctionBuilder::new("decoy", vec![Type::I32], Type::I32);
+    let x = d.mul(Op::Arg(0), Op::ci32(3));
+    let y = d.add(x, Op::ci32(1));
+    d.ret(y);
+    let mut decoy = Module::new("decoy");
+    decoy.add_func(d.finish());
+    let (dbid, dcand) = largest_candidate(&decoy).expect("decoy candidate");
+    let ddfg = Dfg::build(decoy.func(FuncId(0)), dbid);
+
+    let install = |m: &Woolcano| {
+        assert_eq!(
+            m.install(&f0, &dfg, &cand, 2, tiny_bitstream(1)).unwrap(),
+            0
+        );
+        let df = decoy.func(FuncId(0));
+        assert_eq!(
+            m.install(df, &ddfg, &dcand, 2, tiny_bitstream(2)).unwrap(),
+            1
+        );
+    };
+    for n in [3i64, 9] {
+        let interp = run_on_woolcano(&patched, VmTier::Interp, n, &install);
+        let fast = run_on_woolcano(&patched, VmTier::Fast, n, &install);
+        assert_eq!(interp, fast, "n = {n}");
+        let calls = n.min(5) as u64;
+        let last_use = vec![Some(2 + calls), Some(2), None, None];
+        assert_eq!(interp.1, (2 + calls, last_use), "n = {n}");
+        if n > 5 {
+            let err = interp.0.unwrap_err();
+            assert!(
+                err.contains("division by zero in custom instruction"),
+                "{err}"
+            );
+        } else {
+            assert_eq!(interp.0.unwrap().ret, run_module(&base, n));
+        }
     }
 }
 
