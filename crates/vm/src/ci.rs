@@ -7,10 +7,13 @@
 //! when the CI is installed. Its values live in a typed `u64` window laid
 //! out as `[inputs | consts | nodes]`: an integer slot holds its `i64`
 //! bits, a float slot its `f64` bits, and which is which is fixed at build
-//! time. Each operation is a kernel specialized per op and width, like the
-//! fast tier's own `AddI`, `CmpSI` and `FAdd`. Only casts and
-//! division/remainder go through the constant folder ([`fold_un`],
-//! [`fold_int_bin`]), which keeps their trap rules in one place. A program
+//! time. Integer and float arithmetic, integer compares and integer
+//! negation are kernels specialized per op and width, like the fast tier's
+//! own `AddI`, `CmpSI` and `FAdd`, and decoded by the same helpers
+//! (`int_alu`, `int_cmp`). The rest go through the constant folder, as
+//! they do on the fast tier: casts, `Not` and `FNeg` through [`fold_un`],
+//! division/remainder through [`fold_int_bin`] (which keeps the trap rules
+//! in one place), and float compares through [`fold_cmp`]. A program
 //! returns bit-identical values and the same error strings as `eval`.
 //!
 //! A [`CiBinding`] is one run's copy of the loaded programs. The fast tier
@@ -24,10 +27,10 @@
 //! [`CustomHandler::retire`]: crate::CustomHandler::retire
 
 use crate::interp::value_to_imm;
-use crate::predecode::wrap_shift;
+use crate::predecode::{int_alu, int_cmp, wrap_shift, AluK};
 use crate::value::Value;
 use jitise_base::{Error, Result};
-use jitise_ir::passes::constfold::{fold_int_bin, fold_un};
+use jitise_ir::passes::constfold::{fold_cmp, fold_int_bin, fold_un};
 use jitise_ir::{BinOp, CmpOp, Imm, Type, UnOp};
 use std::sync::Arc;
 
@@ -144,7 +147,7 @@ enum Kernel {
         b: u32,
     },
     /// Signed/equality compare of the sign-extended operands; `enc` holds
-    /// the result per ordering (bit 0 = Less, 1 = Equal, 2 = Greater).
+    /// the result per ordering, as [`int_cmp`] encodes it.
     CmpS {
         enc: u32,
         sh: u32,
@@ -158,11 +161,11 @@ enum Kernel {
         a: u32,
         b: u32,
     },
-    /// Float compare; `enc` as for `CmpS` plus bit 3 = unordered. `f32r`
-    /// rounds both operands through `f32` first.
-    CmpF {
-        enc: u32,
-        f32r: bool,
+    /// Float compare: `fold_cmp` on the operands rebuilt as the
+    /// immediates the reference sees.
+    Cmp {
+        op: CmpOp,
+        ty: Type,
         a: u32,
         b: u32,
     },
@@ -171,21 +174,11 @@ enum Kernel {
         a: u32,
         b: u32,
     },
-    /// Integer negate / not: `src_sh` sign-extends the operand at its
-    /// type, `sh` wraps the result.
+    /// Integer negate: `src_sh` sign-extends the operand at its type, `sh`
+    /// wraps the result.
     Neg {
         src_sh: u32,
         sh: u32,
-        a: u32,
-    },
-    Not {
-        src_sh: u32,
-        sh: u32,
-        a: u32,
-    },
-    /// Float negate with equal source and result widths.
-    FNeg {
-        f32r: bool,
         a: u32,
     },
     /// Casts and every other unary op: `fold_un` on the operand rebuilt as
@@ -220,7 +213,7 @@ impl Kernel {
             | FDiv { a, b, .. }
             | CmpS { a, b, .. }
             | CmpU { a, b, .. }
-            | CmpF { a, b, .. } => {
+            | Cmp { a, b, .. } => {
                 *a = f(*a);
                 *b = f(*b);
             }
@@ -229,7 +222,7 @@ impl Kernel {
                 *a = f(*a);
                 *b = f(*b);
             }
-            Neg { a, .. } | Not { a, .. } | FNeg { a, .. } | Un { a, .. } => *a = f(*a),
+            Neg { a, .. } | Un { a, .. } => *a = f(*a),
         }
     }
 }
@@ -310,19 +303,19 @@ impl CiProgramBuilder {
         if x.kind != Kind::Int || y.kind != Kind::Int {
             return None;
         }
-        let sh = wrap_shift(ty);
-        let mask = ty.bits().max(1) - 1;
-        let k = match op {
-            BinOp::Add => Kernel::Add { sh, a, b },
-            BinOp::Sub => Kernel::Sub { sh, a, b },
-            BinOp::Mul => Kernel::Mul { sh, a, b },
-            BinOp::And => Kernel::And { sh, a, b },
-            BinOp::Or => Kernel::Or { sh, a, b },
-            BinOp::Xor => Kernel::Xor { sh, a, b },
-            BinOp::Shl => Kernel::Shl { sh, mask, a, b },
-            BinOp::LShr => Kernel::LShr { sh, mask, a, b },
-            BinOp::AShr => Kernel::AShr { sh, mask, a, b },
-            _ => Kernel::DivRem { op, ty, a, b },
+        let k = match int_alu(op, ty) {
+            Some((k, sh, mask)) => match k {
+                AluK::Add => Kernel::Add { sh, a, b },
+                AluK::Sub => Kernel::Sub { sh, a, b },
+                AluK::Mul => Kernel::Mul { sh, a, b },
+                AluK::And => Kernel::And { sh, a, b },
+                AluK::Or => Kernel::Or { sh, a, b },
+                AluK::Xor => Kernel::Xor { sh, a, b },
+                AluK::Shl => Kernel::Shl { sh, mask, a, b },
+                AluK::LShr => Kernel::LShr { sh, mask, a, b },
+                AluK::AShr => Kernel::AShr { sh, mask, a, b },
+            },
+            None => Kernel::DivRem { op, ty, a, b },
         };
         Some(self.push(k, Kind::Int))
     }
@@ -330,21 +323,12 @@ impl CiProgramBuilder {
     /// A unary op or cast with result type `ty` and source type `src_ty`.
     pub fn un(&mut self, op: UnOp, ty: Type, src_ty: Type, x: CiRef) -> CiRef {
         let a = x.slot;
-        let src_int = if src_ty.is_int() { src_ty } else { Type::I64 };
         let k = match (op, x.kind) {
-            (UnOp::Neg, Kind::Int) if ty.is_int() => Kernel::Neg {
-                src_sh: wrap_shift(src_int),
-                sh: wrap_shift(ty),
-                a,
-            },
-            (UnOp::Not, Kind::Int) if ty.is_int() => Kernel::Not {
-                src_sh: wrap_shift(src_int),
-                sh: wrap_shift(ty),
-                a,
-            },
-            (UnOp::FNeg, Kind::Float) if (src_ty == Type::F32) == (ty == Type::F32) => {
-                Kernel::FNeg {
-                    f32r: ty == Type::F32,
+            (UnOp::Neg, Kind::Int) if ty.is_int() => {
+                let src_int = if src_ty.is_int() { src_ty } else { Type::I64 };
+                Kernel::Neg {
+                    src_sh: wrap_shift(src_int),
+                    sh: wrap_shift(ty),
                     a,
                 }
             }
@@ -369,90 +353,23 @@ impl CiProgramBuilder {
     pub fn cmp(&mut self, op: CmpOp, ty: Type, x: CiRef, y: CiRef) -> Option<CiRef> {
         let (a, b) = (x.slot, y.slot);
         let kinds = (x.kind, y.kind);
-        let k = if op.is_float() {
-            if !ty.is_float() || kinds != (Kind::Float, Kind::Float) {
-                return None;
+        let k = match int_cmp(op) {
+            Some((unsigned, enc)) => {
+                if !ty.is_int() || kinds != (Kind::Int, Kind::Int) {
+                    return None;
+                }
+                let sh = wrap_shift(ty);
+                if unsigned {
+                    Kernel::CmpU { enc, sh, a, b }
+                } else {
+                    Kernel::CmpS { enc, sh, a, b }
+                }
             }
-            let enc = match op {
-                CmpOp::FOeq => 0b0010,
-                CmpOp::FOne => 0b1101,
-                CmpOp::FOlt => 0b0001,
-                CmpOp::FOle => 0b0011,
-                CmpOp::FOgt => 0b0100,
-                _ => 0b0110,
-            };
-            Kernel::CmpF {
-                enc,
-                f32r: ty == Type::F32,
-                a,
-                b,
-            }
-        } else {
-            if !ty.is_int() || kinds != (Kind::Int, Kind::Int) {
-                return None;
-            }
-            let sh = wrap_shift(ty);
-            match op {
-                CmpOp::Eq => Kernel::CmpS {
-                    enc: 0b010,
-                    sh,
-                    a,
-                    b,
-                },
-                CmpOp::Ne => Kernel::CmpS {
-                    enc: 0b101,
-                    sh,
-                    a,
-                    b,
-                },
-                CmpOp::Slt => Kernel::CmpS {
-                    enc: 0b001,
-                    sh,
-                    a,
-                    b,
-                },
-                CmpOp::Sle => Kernel::CmpS {
-                    enc: 0b011,
-                    sh,
-                    a,
-                    b,
-                },
-                CmpOp::Sgt => Kernel::CmpS {
-                    enc: 0b100,
-                    sh,
-                    a,
-                    b,
-                },
-                CmpOp::Sge => Kernel::CmpS {
-                    enc: 0b110,
-                    sh,
-                    a,
-                    b,
-                },
-                CmpOp::Ult => Kernel::CmpU {
-                    enc: 0b001,
-                    sh,
-                    a,
-                    b,
-                },
-                CmpOp::Ule => Kernel::CmpU {
-                    enc: 0b011,
-                    sh,
-                    a,
-                    b,
-                },
-                CmpOp::Ugt => Kernel::CmpU {
-                    enc: 0b100,
-                    sh,
-                    a,
-                    b,
-                },
-                _ => Kernel::CmpU {
-                    enc: 0b110,
-                    sh,
-                    a,
-                    b,
-                },
+            None => {
+                if !ty.is_float() || kinds != (Kind::Float, Kind::Float) {
+                    return None;
+                }
+                Kernel::Cmp { op, ty, a, b }
             }
         };
         Some(self.push(k, Kind::Int))
@@ -625,21 +542,10 @@ impl CiProgram {
                     let y = (get(w, b) << sh) >> sh;
                     ((enc >> (x.cmp(&y) as i8 + 1)) & 1) as u64
                 }
-                Kernel::CmpF { enc, f32r, a, b } => {
-                    let (mut x, mut y) = (getf(w, a), getf(w, b));
-                    if f32r {
-                        (x, y) = (x as f32 as f64, y as f32 as f64);
-                    }
-                    let at = if x < y {
-                        0
-                    } else if x == y {
-                        1
-                    } else if x > y {
-                        2
-                    } else {
-                        3
-                    };
-                    ((enc >> at) & 1) as u64
+                Kernel::Cmp { op, ty, a, b } => {
+                    let x = value_to_imm(Value::F(getf(w, a)), ty);
+                    let y = value_to_imm(Value::F(getf(w, b)), ty);
+                    fold_cmp(op, ty, &x, &y) as u64
                 }
                 Kernel::Select { c, a, b } => {
                     if get(w, c) & 1 != 0 {
@@ -651,18 +557,6 @@ impl CiProgram {
                 Kernel::Neg { src_sh, sh, a } => {
                     let x = ((get(w, a) as i64) << src_sh) >> src_sh;
                     wrap(x.wrapping_neg(), sh)
-                }
-                Kernel::Not { src_sh, sh, a } => {
-                    let x = ((get(w, a) as i64) << src_sh) >> src_sh;
-                    wrap(!x, sh)
-                }
-                Kernel::FNeg { f32r, a } => {
-                    let x = getf(w, a);
-                    if f32r {
-                        (-(x as f32) as f64).to_bits()
-                    } else {
-                        (-x).to_bits()
-                    }
                 }
                 Kernel::Un {
                     op,

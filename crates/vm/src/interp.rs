@@ -45,7 +45,11 @@ pub trait CustomHandler {
 
     /// The loaded CIs as lowered programs for one fast-tier run, or `None`
     /// (the default) to be called per CI. A handler that binds must not
-    /// change its slots until the matching [`Self::retire`].
+    /// change its slots until the matching [`Self::retire`], so it serves
+    /// one bound run at a time: while a fast-tier run is bound, no other
+    /// VM may run against the same handler (the Woolcano model panics in
+    /// `retire` when a CI call, an install or another bind came in
+    /// between).
     fn bind(&self) -> Option<CiBinding> {
         None
     }

@@ -140,6 +140,63 @@ pub(crate) fn wrap_shift(ty: Type) -> u32 {
     }
 }
 
+/// Integer ALU ops with a specialized kernel, here (`AddI` … `AShrI`) and
+/// in lowered custom instructions ([`crate::ci`]). All but `LShr` also take
+/// part in pair fusion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AluK {
+    Add,
+    Sub,
+    Mul,
+    And,
+    Or,
+    Xor,
+    Shl,
+    LShr,
+    AShr,
+}
+
+/// The specialized decode of integer binop `op` at result type `ty`: its
+/// kind, the wrap shift ([`wrap_shift`]) and the shift-amount mask
+/// (`bits - 1`, as `fold_int_bin` masks it). `None` for division and
+/// remainder, which keep the constant folder's zero-divisor trap, and for
+/// float ops.
+pub(crate) fn int_alu(op: BinOp, ty: Type) -> Option<(AluK, u32, u32)> {
+    let k = match op {
+        BinOp::Add => AluK::Add,
+        BinOp::Sub => AluK::Sub,
+        BinOp::Mul => AluK::Mul,
+        BinOp::And => AluK::And,
+        BinOp::Or => AluK::Or,
+        BinOp::Xor => AluK::Xor,
+        BinOp::Shl => AluK::Shl,
+        BinOp::LShr => AluK::LShr,
+        BinOp::AShr => AluK::AShr,
+        _ => return None,
+    };
+    Some((k, wrap_shift(ty), ty.bits().max(1) - 1))
+}
+
+/// The specialized decode of integer predicate `op`: whether it orders
+/// the operands unsigned, and its result bit per ordering (bit 0 = Less,
+/// 1 = Equal, 2 = Greater). `None` for float predicates, which go through
+/// `fold_cmp`.
+pub(crate) fn int_cmp(op: CmpOp) -> Option<(bool, u32)> {
+    Some(match op {
+        CmpOp::Eq => (false, 0b010),
+        CmpOp::Ne => (false, 0b101),
+        CmpOp::Slt => (false, 0b001),
+        CmpOp::Sle => (false, 0b011),
+        CmpOp::Sgt => (false, 0b100),
+        CmpOp::Sge => (false, 0b110),
+        CmpOp::Ult => (true, 0b001),
+        CmpOp::Ule => (true, 0b011),
+        CmpOp::Ugt => (true, 0b100),
+        CmpOp::Uge => (true, 0b110),
+        _ => return None,
+    })
+}
+
 /// One compiled phi parallel-copy move: `reg[dst] = norm(read(src))`.
 #[derive(Debug, Clone, Copy)]
 struct PhiMove {
@@ -1660,19 +1717,6 @@ fn decode_edge(
     }
 }
 
-/// Int ALU kinds that participate in pair fusion.
-#[derive(Clone, Copy)]
-enum AluK {
-    Add,
-    Sub,
-    Mul,
-    And,
-    Or,
-    Xor,
-    Shl,
-    AShr,
-}
-
 /// (kind, sh, mask, a, b) if `op` is a fusible int ALU instruction.
 fn alu_parts(op: &FastOp) -> Option<(AluK, u32, u32, Src, Src)> {
     Some(match *op {
@@ -2140,20 +2184,20 @@ fn decode_inst(f: &Function, iid: InstId, res: &mut Resolver, at: u32, local: &[
                 };
                 (iid.0, fast)
             } else {
-                let sh = wrap_shift(inst.ty);
-                let mask = inst.ty.bits().max(1) - 1;
                 let (a, b) = (s(*a), s(*b));
-                let fast = match op {
-                    BinOp::Add => FastOp::AddI { sh, a, b },
-                    BinOp::Sub => FastOp::SubI { sh, a, b },
-                    BinOp::Mul => FastOp::MulI { sh, a, b },
-                    BinOp::And => FastOp::AndI { sh, a, b },
-                    BinOp::Or => FastOp::OrI { sh, a, b },
-                    BinOp::Xor => FastOp::XorI { sh, a, b },
-                    BinOp::Shl => FastOp::ShlI { sh, mask, a, b },
-                    BinOp::LShr => FastOp::LShrI { sh, mask, a, b },
-                    BinOp::AShr => FastOp::AShrI { sh, mask, a, b },
-                    _ => FastOp::BinI {
+                let fast = match int_alu(*op, inst.ty) {
+                    Some((k, sh, mask)) => match k {
+                        AluK::Add => FastOp::AddI { sh, a, b },
+                        AluK::Sub => FastOp::SubI { sh, a, b },
+                        AluK::Mul => FastOp::MulI { sh, a, b },
+                        AluK::And => FastOp::AndI { sh, a, b },
+                        AluK::Or => FastOp::OrI { sh, a, b },
+                        AluK::Xor => FastOp::XorI { sh, a, b },
+                        AluK::Shl => FastOp::ShlI { sh, mask, a, b },
+                        AluK::LShr => FastOp::LShrI { sh, mask, a, b },
+                        AluK::AShr => FastOp::AShrI { sh, mask, a, b },
+                    },
+                    None => FastOp::BinI {
                         op: *op,
                         ty: inst.ty,
                         a,
@@ -2184,36 +2228,25 @@ fn decode_inst(f: &Function, iid: InstId, res: &mut Resolver, at: u32, local: &[
             };
             let u_sh = wrap_shift(src_ty);
             let (a, b) = (s(*a), s(*b));
-            // Result bit per ordering: bit 0 = Less, 1 = Equal, 2 = Greater.
-            let signed = |enc: u32| FastOp::CmpSI {
-                enc,
-                sh: s_sh,
-                op: *op,
-                src_ty,
-                a,
-                b,
-            };
-            let unsigned = |enc: u32| FastOp::CmpUI {
-                enc,
-                s_sh,
-                u_sh,
-                op: *op,
-                src_ty,
-                a,
-                b,
-            };
-            let fast = match op {
-                CmpOp::Eq => signed(0b010),
-                CmpOp::Ne => signed(0b101),
-                CmpOp::Slt => signed(0b001),
-                CmpOp::Sle => signed(0b011),
-                CmpOp::Sgt => signed(0b100),
-                CmpOp::Sge => signed(0b110),
-                CmpOp::Ult => unsigned(0b001),
-                CmpOp::Ule => unsigned(0b011),
-                CmpOp::Ugt => unsigned(0b100),
-                CmpOp::Uge => unsigned(0b110),
-                _ => FastOp::Cmp {
+            let fast = match int_cmp(*op) {
+                Some((false, enc)) => FastOp::CmpSI {
+                    enc,
+                    sh: s_sh,
+                    op: *op,
+                    src_ty,
+                    a,
+                    b,
+                },
+                Some((true, enc)) => FastOp::CmpUI {
+                    enc,
+                    s_sh,
+                    u_sh,
+                    op: *op,
+                    src_ty,
+                    a,
+                    b,
+                },
+                None => FastOp::Cmp {
                     op: *op,
                     src_ty,
                     a,

@@ -18,6 +18,15 @@ use jitise_vm::{CiBinding, CostModel, CustomHandler, Value};
 use std::sync::Mutex;
 
 /// The Woolcano machine.
+///
+/// The machine is `Sync`, but it serves one fast-tier run at a time: the
+/// run binds the slot file for its whole duration
+/// ([`CustomHandler::bind`]), and an install, a per-call CI execution or a
+/// second bind before the run's [`CustomHandler::retire`] makes that
+/// `retire` panic ("CI slot file changed while a run was bound"), because
+/// the run's deferred LRU touches could no longer be ordered. VMs on
+/// several threads may share one machine only if they never run while a
+/// fast-tier run on it is in progress.
 #[derive(Debug)]
 pub struct Woolcano {
     /// Reconfiguration controller (interior mutability: the interpreter
@@ -177,6 +186,7 @@ impl CustomHandler for Woolcano {
     }
 
     /// Copies every slot's lowered program and latency under one lock.
+    /// One bound run at a time (see [`Woolcano`]).
     fn bind(&self) -> Option<CiBinding> {
         self.controller.lock().expect("lock").bind()
     }

@@ -215,7 +215,8 @@ impl ReconfigController {
 
     /// Binds every loaded slot's lowered program and latency for one run,
     /// or `None` if some loaded CI has no program (the run then calls per
-    /// CI). The slots must not change until [`Self::retire`].
+    /// CI). Until [`Self::retire`], the slots must not change and no other
+    /// run may bind: one bound run at a time.
     pub fn bind(&mut self) -> Option<CiBinding> {
         let mut binding = CiBinding::new(self.epoch + 1);
         for ci in self.slots.iter().flatten() {

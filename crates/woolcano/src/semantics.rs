@@ -48,9 +48,7 @@ pub enum CiOp {
 pub struct CiSemantics {
     /// Operations in topological order.
     pub ops: Vec<CiOp>,
-    /// Number of input ports.
-    pub num_inputs: u32,
-    /// Type of each input port, in port order.
+    /// Type of each input port, in port order (one entry per port).
     pub input_tys: Vec<Type>,
     /// Which op produces the CI result (index into `ops`).
     pub output_op: u32,
@@ -132,7 +130,6 @@ impl CiSemantics {
 
         Ok(CiSemantics {
             ops,
-            num_inputs: inputs.len() as u32,
             input_tys: inputs
                 .iter()
                 .map(|&op| jitise_ir::verify::operand_ty(f, op))
@@ -164,13 +161,10 @@ impl CiSemantics {
 
     /// Lowers the datapath into the fast tier's typed program, which
     /// evaluates bit-identically to [`Self::eval`] with the same error
-    /// strings. `None` when the ports, operand references or operand types
-    /// are ones the program cannot represent exactly (never for a frozen
-    /// candidate of verified IR); such a CI keeps the per-call path.
+    /// strings. `None` when operand references or operand types are ones
+    /// the program cannot represent exactly (never for a frozen candidate
+    /// of verified IR); such a CI keeps the per-call path.
     pub fn lower(&self) -> Option<CiProgram> {
-        if self.input_tys.len() != self.num_inputs as usize {
-            return None;
-        }
         let mut b = CiProgramBuilder::new(&self.input_tys);
         let mut nodes: Vec<CiRef> = Vec::with_capacity(self.ops.len());
         for op in &self.ops {
@@ -205,10 +199,10 @@ impl CiSemantics {
 
     /// Evaluates the CI on input values.
     pub fn eval(&self, args: &[Value]) -> Result<Value> {
-        if args.len() != self.num_inputs as usize {
+        if args.len() != self.input_tys.len() {
             return Err(Error::Arch(format!(
                 "CI expects {} inputs, got {}",
-                self.num_inputs,
+                self.input_tys.len(),
                 args.len()
             )));
         }
@@ -313,7 +307,7 @@ mod tests {
             let z = b.xor(y, x);
             b.ret(z);
         });
-        assert_eq!(sem.num_inputs, 2);
+        assert_eq!(sem.input_tys.len(), 2);
         assert_eq!(sem.ops.len(), 3);
         let out = sem.eval(&[Value::I(5), Value::I(7)]).unwrap();
         let x = 5 + 7;
@@ -328,7 +322,7 @@ mod tests {
             let y = b.add(x, Op::ci32(100));
             b.ret(y);
         });
-        assert_eq!(sem.num_inputs, 1);
+        assert_eq!(sem.input_tys.len(), 1);
         assert_eq!(sem.eval(&[Value::I(4)]).unwrap(), Value::I(140));
     }
 
@@ -339,7 +333,7 @@ mod tests {
             let y = b.add(x, Op::Arg(0));
             b.ret(y);
         });
-        assert_eq!(sem.num_inputs, 1);
+        assert_eq!(sem.input_tys.len(), 1);
         assert_eq!(sem.eval(&[Value::I(6)]).unwrap(), Value::I(42));
     }
 

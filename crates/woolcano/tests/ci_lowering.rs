@@ -118,7 +118,7 @@ struct Case {
 fn gen_case(seed: u64) -> Case {
     let mut rng = SplitMix64::new(seed);
     let all_tys: Vec<Type> = INT_TYS.iter().chain(&FLOAT_TYS).copied().collect();
-    let num_inputs = 1 + rng.next_below(4) as u32;
+    let num_inputs = 1 + rng.next_below(4);
     let input_tys: Vec<Type> = (0..num_inputs).map(|_| pick(&mut rng, &all_tys)).collect();
     // Every value so far with its type: ports first, then op results.
     let mut vals: Vec<(CiArg, Type)> = input_tys
@@ -216,7 +216,6 @@ fn gen_case(seed: u64) -> Case {
     Case {
         sem: CiSemantics {
             ops,
-            num_inputs,
             input_tys,
             output_op,
         },
