@@ -1616,7 +1616,7 @@ fn finalize_session(
     // Journal the cumulative fault-ledger totals (latest-wins on replay).
     if let Some(store) = &config.store {
         let _span = tel.span("store.append");
-        let prior = store.state().totals;
+        let prior = store.totals();
         let _ = store.append(Record::FaultTotals(FaultTotals {
             sessions: prior.sessions + 1,
             retries: prior.retries + retries,

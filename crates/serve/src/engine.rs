@@ -337,6 +337,7 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
     let cache = BitstreamCache::new();
     let quarantine = Arc::new(Quarantine::new());
     let memo = Arc::new(SearchMemo::new());
+    let mut ledger = CacheLedger::new();
     if let Some(store) = &config.store {
         let state = store.state();
         if !state.is_empty() {
@@ -356,11 +357,8 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
                 ],
             );
         }
-    }
-    let mut ledger = CacheLedger::new();
-    // Entries hydrated from the store count against capacity too.
-    if let Some(store) = &config.store {
-        for sig in store.state().entries.keys() {
+        // Entries hydrated from the store count against capacity too.
+        for sig in state.entries.keys() {
             ledger.note_fresh(*sig);
         }
     }
@@ -643,7 +641,7 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
     tel.add(names::SERVE_DEFERRED, deferred as u64);
     tel.add(names::SERVE_SHED, shed as u64);
 
-    let store_fingerprint = config.store.as_ref().map(|s| s.state().fingerprint());
+    let store_fingerprint = config.store.as_ref().map(|s| s.fingerprint());
     root.field("tenants", TelValue::U64(tenants.len() as u64));
     root.field("shed", TelValue::U64(shed as u64));
     root.field("degraded", TelValue::U64(degraded_n as u64));

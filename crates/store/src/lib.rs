@@ -409,6 +409,11 @@ impl Store {
         self.inner.lock().state.clone()
     }
 
+    /// The latest committed fault-ledger totals.
+    pub fn totals(&self) -> FaultTotals {
+        self.inner.lock().state.totals
+    }
+
     /// Deterministic digest of the current state (see
     /// [`StoreState::fingerprint`]).
     pub fn fingerprint(&self) -> String {
@@ -485,6 +490,8 @@ mod tests {
         }
         let store = Store::open(dir.path()).unwrap();
         assert_eq!(store.fingerprint(), expected);
+        assert_eq!(store.totals(), store.state().totals);
+        assert_eq!(store.totals().fault_time_ns, 55);
         let rec = store.recovery();
         assert_eq!(rec.records_recovered, 4);
         assert_eq!(rec.recovered_entries, 2);
