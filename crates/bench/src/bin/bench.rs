@@ -768,6 +768,74 @@ fn bench_pipeline(seed: u64, smoke: bool) -> BenchArtifact {
         hash_bytes(outcome.fingerprint().as_bytes()),
     );
 
+    // Session paths the healthy run above never reaches: a dead worker, a
+    // stalled one past the watchdog, pipeline faults as in CI's trace job,
+    // a warm restart from a recovered store, and a latency gate that never
+    // opens.
+    let fingerprint = |runs: u32, ready: u32, cache: &BitstreamCache, options: &AdaptiveOptions| {
+        let out = run_adaptive_with(
+            &EvalContext::new(),
+            cache,
+            &app.module,
+            app.entry,
+            &app.datasets[0].args,
+            runs,
+            ready,
+            options,
+        )
+        .expect("session terminates");
+        hash_bytes(out.fingerprint().as_bytes())
+    };
+    let faulty = |plan: FaultPlan| AdaptiveOptions {
+        faults: FaultInjector::from_plan(plan),
+        ..AdaptiveOptions::default()
+    };
+    let worker_site = |site: FaultSite| faulty(FaultPlan::none(seed).with_rate(site, 1.0));
+    let pipeline_sites = FaultPlan::uniform(0.4, 9)
+        .with_rate(FaultSite::WorkerStall, 0.0)
+        .with_rate(FaultSite::WorkerDeath, 0.0);
+    // The stalled worker never reports, so the watchdog only sets how long
+    // the session waits before it degrades.
+    let stall = AdaptiveOptions {
+        watchdog: std::time::Duration::from_millis(200),
+        ..worker_site(FaultSite::WorkerStall)
+    };
+    for (name, options) in [
+        (
+            "pipeline.death.fingerprint",
+            worker_site(FaultSite::WorkerDeath),
+        ),
+        ("pipeline.stall.fingerprint", stall),
+        ("pipeline.faults.fingerprint", faulty(pipeline_sites)),
+    ] {
+        let fp = fingerprint(total_runs, ready_after, &BitstreamCache::new(), &options);
+        art.exact(name, "hash", fp);
+    }
+    let dir = TempDir::new("bench-pipeline-warm");
+    let stored = |store: Store| AdaptiveOptions {
+        store: Some(Arc::new(store)),
+        ..AdaptiveOptions::default()
+    };
+    let cold = stored(Store::open(dir.path()).expect("fresh store"));
+    let _ = fingerprint(total_runs, ready_after, &BitstreamCache::new(), &cold);
+    drop(cold);
+    let warm = stored(Store::open(dir.path()).expect("store recovery"));
+    art.exact(
+        "pipeline.warm.fingerprint",
+        "hash",
+        fingerprint(total_runs, ready_after, &BitstreamCache::new(), &warm),
+    );
+    art.exact(
+        "pipeline.late_gate.fingerprint",
+        "hash",
+        fingerprint(
+            total_runs,
+            total_runs + 1,
+            &BitstreamCache::new(),
+            &AdaptiveOptions::default(),
+        ),
+    );
+
     // Cold session: fresh caches every repetition. Warm session: the
     // bitstream cache persists, so specialization is all cache hits.
     let sample = measure_host(reps, || {
