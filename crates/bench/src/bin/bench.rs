@@ -909,7 +909,6 @@ fn bench_storm(seed: u64, smoke: bool) -> BenchArtifact {
         base,
         policy,
         ready_after_runs: 2,
-        ..StormOptions::default()
     };
     let session = |ctx: &EvalContext, cache: &BitstreamCache, base: AdaptiveOptions| {
         run_storm(ctx, cache, &module, "main", &schedule, &storm_opts(base)).expect("storm runs")

@@ -37,6 +37,7 @@ pub use pipeline::{
     SpecializeReport, SpecializeSession,
 };
 pub use runtime::{
-    run_adaptive, run_adaptive_with, run_storm, AdaptiveOptions, AdaptiveOutcome, DegradedReason,
-    PhasePolicy, PhaseSegment, StormOptions, StormOutcome, WorkloadSession,
+    evict, hydrate, run_adaptive, run_adaptive_with, run_storm, worker_fault, AdaptiveOptions,
+    AdaptiveOutcome, DegradedReason, PhasePolicy, PhaseSegment, StormOptions, StormOutcome,
+    WorkloadSession,
 };

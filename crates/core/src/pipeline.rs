@@ -54,7 +54,7 @@ use jitise_base::{Error, Result, SimTime};
 use jitise_cad::{
     map_overlay, run_flow_accounted, Fabric, FlowOptions, InstallTier, OverlayLibrary,
 };
-use jitise_faults::{FaultInjector, FaultSite, Quarantine, RetryPolicy};
+use jitise_faults::{FaultInjector, FaultKind, FaultSite, Quarantine, RetryPolicy};
 use jitise_ir::{Dfg, Escapes, FuncId, Function, Module};
 use jitise_ise::{candidate_search, Candidate, SearchConfig, SearchOutcome};
 use jitise_pivpav::{
@@ -75,8 +75,6 @@ pub struct SpecializeConfig {
     pub flow: FlowOptions,
     /// The PR-region fabric.
     pub fabric: Fabric,
-    /// Use the bitstream cache.
-    pub use_cache: bool,
     /// Observability handle; propagated into the search and flow configs
     /// (their own `telemetry` fields are overridden when this is enabled).
     pub telemetry: Telemetry,
@@ -125,7 +123,6 @@ impl Default for SpecializeConfig {
             search: SearchConfig::default(),
             flow: FlowOptions::fast(),
             fabric: Fabric::pr_region(),
-            use_cache: true,
             telemetry: Telemetry::disabled(),
             faults: FaultInjector::disabled(),
             retry: RetryPolicy::default(),
@@ -362,6 +359,28 @@ struct Produced {
     par: SimTime,
 }
 
+/// Counts an injected fault and journals its `fault.injected` event.
+pub(crate) fn note_fault(tel: &Telemetry, site: FaultSite, kind: FaultKind) {
+    tel.add(names::FAULTS_INJECTED, 1);
+    tel.event(
+        "fault.injected",
+        &[
+            ("site", TelValue::Str(site.name().into())),
+            ("kind", TelValue::Str(kind.name().into())),
+        ],
+    );
+}
+
+/// Journals the record `make` builds from the store, when there is one.
+/// Fire-and-forget: a dead store must never fail the caller; its append
+/// failures are already counted by the store's own telemetry.
+pub(crate) fn journal(store: Option<&Store>, tel: &Telemetry, make: impl FnOnce(&Store) -> Record) {
+    if let Some(store) = store {
+        let _span = tel.span("store.append");
+        let _ = store.append(make(store));
+    }
+}
+
 /// What an attempt-scoped bitstream-cache probe found.
 enum Probe {
     /// A CRC-validated full-tier hit: generation is complete.
@@ -371,7 +390,7 @@ enum Probe {
     /// finished implementation: the dispatcher reuses it as the fast path
     /// and still schedules the full flow.
     Overlay(CachedCi),
-    /// Miss, cache disabled, or a poisoned entry that was just evicted.
+    /// Miss, or a poisoned entry that was just evicted.
     Miss,
 }
 
@@ -379,26 +398,15 @@ enum Probe {
 /// in flight, in which case the poisoned entry is evicted and counted.
 fn probe_cache(
     bitstream_cache: &BitstreamCache,
-    config: &SpecializeConfig,
     inj: &FaultInjector,
     signature: u64,
     tel: &Telemetry,
 ) -> Probe {
-    if !config.use_cache {
-        return Probe::Miss;
-    }
     let Some(mut hit) = bitstream_cache.get(signature) else {
         return Probe::Miss;
     };
     if let Some(kind) = inj.corrupt(FaultSite::CacheEntry, &mut hit.bitstream.bytes) {
-        tel.add(names::FAULTS_INJECTED, 1);
-        tel.event(
-            "fault.injected",
-            &[
-                ("site", TelValue::Str(FaultSite::CacheEntry.name().into())),
-                ("kind", TelValue::Str(kind.name().into())),
-            ],
-        );
+        note_fault(tel, FaultSite::CacheEntry, kind);
     }
     if hit.bitstream.verify() {
         if hit.tier == InstallTier::Overlay {
@@ -464,74 +472,6 @@ fn implement_project(
     })
 }
 
-/// Obtains the candidate's implementation: a CRC-validated cache hit, or a
-/// fresh run of phases 2–3. A poisoned cache entry is evicted and counted,
-/// then regeneration proceeds within the same attempt.
-#[allow(clippy::too_many_arguments)]
-fn obtain_entry(
-    db: &CircuitDb,
-    netlist_cache: &NetlistCache,
-    bitstream_cache: &BitstreamCache,
-    config: &SpecializeConfig,
-    inj: &FaultInjector,
-    pf: &Function,
-    dfg: &Dfg,
-    cand: &Candidate,
-    signature: u64,
-    tel: &Telemetry,
-) -> std::result::Result<Produced, (Error, Loss)> {
-    // An overlay-tier entry is deliberately *not* a hit here: generation
-    // means producing the full artifact, so the overlay commit of a
-    // crashed twin falls through to regeneration (and is overwritten).
-    if let Probe::Hit(hit) = probe_cache(bitstream_cache, config, inj, signature, tel) {
-        return Ok(hit);
-    }
-    // Phase 2: Netlist Generation.
-    let (project, c2v) = create_project_with(db, netlist_cache, pf, dfg, cand, tel)
-        .map_err(|e| (e, Loss::default()))?;
-    // Phase 3: Instruction Implementation.
-    implement_project(bitstream_cache, config, inj, &project, c2v, signature, tel)
-}
-
-/// Installs a produced bitstream over the ICAP. The transfer may be
-/// corrupted in flight (caught by the controller's CRC check); a rejected
-/// transfer is charged its full reconfiguration time.
-#[allow(clippy::too_many_arguments)]
-fn install_produced(
-    p: &Produced,
-    inj: &FaultInjector,
-    pf: &Function,
-    dfg: &Dfg,
-    cand: &Candidate,
-    machine: &Woolcano,
-    hw_cycles: u64,
-    tel: &Telemetry,
-) -> std::result::Result<u32, (Error, Loss)> {
-    let mut bitstream = p.entry.bitstream.clone();
-    if let Some(kind) = inj.corrupt(FaultSite::IcapTransfer, &mut bitstream.bytes) {
-        tel.add(names::FAULTS_INJECTED, 1);
-        tel.event(
-            "fault.injected",
-            &[
-                ("site", TelValue::Str(FaultSite::IcapTransfer.name().into())),
-                ("kind", TelValue::Str(kind.name().into())),
-            ],
-        );
-    }
-    machine
-        .install(pf, dfg, cand, hw_cycles, bitstream)
-        .map_err(|e| {
-            // The rejected transfer still occupied the ICAP for the full
-            // bitstream length; the controller refuses to count it, so the
-            // fault ledger does.
-            let loss = Loss {
-                icap: ReconfigController::reconfig_time(&p.entry.bitstream),
-                ..Loss::default()
-            };
-            (e, loss)
-        })
-}
-
 /// Salt folded into the fault scope of overlay fast-path installs so they
 /// draw from a different deterministic stream than the candidate's full
 /// generation/install attempts (which share the unsalted signature).
@@ -551,88 +491,119 @@ struct OverlayPrep {
     hw_cycles: u64,
 }
 
-/// Installs the overlay fast-path bitstream over the ICAP. Same corruption
-/// surface as a full install (the transfer crosses the same port).
-#[allow(clippy::too_many_arguments)]
-fn install_overlay(
-    op: &OverlayPrep,
-    inj: &FaultInjector,
-    pf: &Function,
-    dfg: &Dfg,
-    cand: &Candidate,
-    machine: &Woolcano,
-    tel: &Telemetry,
-) -> std::result::Result<u32, (Error, Loss)> {
-    let mut bitstream = op.entry.bitstream.clone();
-    if let Some(kind) = inj.corrupt(FaultSite::IcapTransfer, &mut bitstream.bytes) {
-        tel.add(names::FAULTS_INJECTED, 1);
-        tel.event(
-            "fault.injected",
-            &[
-                ("site", TelValue::Str(FaultSite::IcapTransfer.name().into())),
-                ("kind", TelValue::Str(kind.name().into())),
-            ],
-        );
-    }
-    machine
-        .install_tiered(pf, dfg, cand, op.hw_cycles, bitstream, InstallTier::Overlay)
-        .map_err(|e| {
-            let loss = Loss {
-                icap: ReconfigController::reconfig_time(&op.entry.bitstream),
-                ..Loss::default()
-            };
-            (e, loss)
-        })
+/// Where an ICAP transfer lands in the slot file.
+#[derive(Clone, Copy)]
+enum Transfer<'c> {
+    /// A fresh slot for the candidate, serving at `tier`.
+    Install {
+        pf: &'c Function,
+        dfg: &'c Dfg,
+        cand: &'c Candidate,
+        tier: InstallTier,
+    },
+    /// The atomic swap of an overlay slot (keyed by signature) to the full
+    /// artifact.
+    Upgrade(u64),
 }
 
-/// Atomically swaps an overlay slot to the full artifact. The upgrade
-/// transfer has its own fault site ([`FaultSite::UpgradeSwap`]); a rejected
-/// swap leaves the overlay slot serving and is charged the wasted transfer.
-fn upgrade_produced(
-    p: &Produced,
+/// Moves `entry`'s bitstream over the ICAP. An install may be corrupted
+/// in flight at [`FaultSite::IcapTransfer`], an upgrade swap at its own
+/// site [`FaultSite::UpgradeSwap`]; the controller's CRC check rejects
+/// either. A rejected transfer still occupied the port for the full
+/// bitstream length; the controller refuses to count it, so the fault
+/// ledger is charged its reconfiguration time. A rejected swap leaves the
+/// overlay slot serving.
+fn transfer(
+    entry: &CachedCi,
     inj: &FaultInjector,
     machine: &Woolcano,
-    signature: u64,
     hw_cycles: u64,
+    to: Transfer<'_>,
     tel: &Telemetry,
 ) -> std::result::Result<u32, (Error, Loss)> {
-    let mut bitstream = p.entry.bitstream.clone();
-    if let Some(kind) = inj.corrupt(FaultSite::UpgradeSwap, &mut bitstream.bytes) {
-        tel.add(names::FAULTS_INJECTED, 1);
+    let site = match to {
+        Transfer::Install { .. } => FaultSite::IcapTransfer,
+        Transfer::Upgrade(_) => FaultSite::UpgradeSwap,
+    };
+    let mut bitstream = entry.bitstream.clone();
+    if let Some(kind) = inj.corrupt(site, &mut bitstream.bytes) {
+        note_fault(tel, site, kind);
+    }
+    match to {
+        Transfer::Install {
+            pf,
+            dfg,
+            cand,
+            tier,
+        } => machine.install_tiered(pf, dfg, cand, hw_cycles, bitstream, tier),
+        Transfer::Upgrade(signature) => machine.upgrade(signature, hw_cycles, bitstream),
+    }
+    .map_err(|e| {
+        let loss = Loss {
+            icap: ReconfigController::reconfig_time(&entry.bitstream),
+            ..Loss::default()
+        };
+        (e, loss)
+    })
+}
+
+/// The bounded retry loop of every candidate step — generation, overlay
+/// install, upgrade swap and install: tries `attempt` from `first` up to
+/// the policy's `max_attempts`, charging each failure's waste to `loss`
+/// and each retry's backoff too (simulated, never slept), counting the
+/// retry and journaling a `candidate.retry` event. Returns the last
+/// attempt number with the success or the last error.
+fn with_retries<T>(
+    config: &SpecializeConfig,
+    tel: &Telemetry,
+    signature: u64,
+    first: u32,
+    loss: &mut Loss,
+    retries: &mut u64,
+    mut attempt_at: impl FnMut(u32) -> std::result::Result<T, (Error, Loss)>,
+) -> (u32, std::result::Result<T, Error>) {
+    let max_attempts = config.retry.max_attempts.max(1);
+    let mut attempt = first;
+    loop {
+        let e = match attempt_at(attempt) {
+            Ok(t) => return (attempt, Ok(t)),
+            Err((e, waste)) => {
+                loss.absorb(waste);
+                e
+            }
+        };
+        if attempt >= max_attempts {
+            return (attempt, Err(e));
+        }
+        let backoff = config.retry.backoff_for(attempt);
+        loss.backoff += backoff;
+        *retries += 1;
+        tel.add(names::PIPELINE_RETRIES, 1);
         tel.event(
-            "fault.injected",
+            "candidate.retry",
             &[
-                ("site", TelValue::Str(FaultSite::UpgradeSwap.name().into())),
-                ("kind", TelValue::Str(kind.name().into())),
+                ("signature", TelValue::U64(signature)),
+                ("attempt", TelValue::U64(attempt as u64)),
+                ("backoff_ns", TelValue::U64(backoff.as_nanos())),
+                ("error", TelValue::Str(e.to_string())),
             ],
         );
+        attempt += 1;
     }
-    machine
-        .upgrade(signature, hw_cycles, bitstream)
-        .map_err(|e| {
-            let loss = Loss {
-                icap: ReconfigController::reconfig_time(&p.entry.bitstream),
-                ..Loss::default()
-            };
-            (e, loss)
-        })
 }
 
 /// Attempt-1 state a dispatched candidate carries to its worker. The
 /// serial pre-pass already probed the cache (miss) and ran phase 2 —
 /// netlist-cache miss accounting is order-sensitive, so it must happen in
-/// selection order.
-enum FirstAttempt {
-    /// Project created; the worker starts with the tool flow.
-    Ready(Box<(CadProject, C2vTiming)>),
-    /// Project creation failed; attempt 1 is charged as a plain failure.
-    Failed(Error),
-}
+/// selection order. With the project created the worker starts with the
+/// tool flow; a failed creation is charged as a plain attempt-1 failure.
+type FirstAttempt = std::result::Result<Box<(CadProject, C2vTiming)>, Error>;
 
 /// What the bounded generation retry loop yielded for one candidate.
 struct Generated {
-    /// The implementation, if any attempt succeeded (or the cache hit).
-    produced: Option<Produced>,
+    /// The implementation (or the cache hit), or the last error when
+    /// every attempt failed.
+    result: std::result::Result<Produced, Error>,
     /// Attempt generation succeeded at; `max_attempts` on exhaustion. The
     /// install loop continues the attempt numbering from here.
     attempt: u32,
@@ -640,17 +611,17 @@ struct Generated {
     loss: Loss,
     /// Retries burned (attempts beyond the first).
     retries: u64,
-    /// Last error, set iff every attempt failed.
-    error: Option<Error>,
 }
 
 /// The generation retry loop for one candidate: attempts `1..=max` of
 /// cache probe + phases 2–3, charging failures and backoff to the loss
 /// ledger. `first` carries dispatch-time attempt-1 state (cache already
-/// probed, project already created); `None` makes every attempt go through
-/// [`obtain_entry`] — the duplicate-signature path. Installing is *not*
-/// part of this loop: the caller resumes the attempt numbering at
-/// [`Generated::attempt`] on the serial side.
+/// probed, project already created); `None` makes every attempt probe the
+/// cache and create the project itself — the duplicate-signature path. A
+/// poisoned cache entry is evicted and counted, then regeneration proceeds
+/// within the same attempt. Installing is *not* part of this loop: the
+/// caller resumes the attempt numbering at [`Generated::attempt`] on the
+/// serial side.
 #[allow(clippy::too_many_arguments)]
 fn run_generation(
     db: &CircuitDb,
@@ -664,69 +635,73 @@ fn run_generation(
     mut first: Option<&FirstAttempt>,
     tel: &Telemetry,
 ) -> Generated {
-    let max_attempts = config.retry.max_attempts.max(1);
-    let mut attempt = 0u32;
     let mut loss = Loss::default();
     let mut retries = 0u64;
-    loop {
-        attempt += 1;
-        let inj = config.faults.scope(signature, attempt);
-        let result = match first.take() {
-            Some(FirstAttempt::Ready(pair)) => {
-                let (project, c2v) = pair.as_ref();
-                implement_project(bitstream_cache, config, &inj, project, *c2v, signature, tel)
-            }
-            Some(FirstAttempt::Failed(e)) => Err((e.clone(), Loss::default())),
-            None => obtain_entry(
-                db,
-                netlist_cache,
-                bitstream_cache,
-                config,
-                &inj,
-                pf,
-                dfg,
-                cand,
-                signature,
-                tel,
-            ),
-        };
-        match result {
-            Ok(p) => {
-                return Generated {
-                    produced: Some(p),
-                    attempt,
-                    loss,
-                    retries,
-                    error: None,
+    let (attempt, result) = with_retries(
+        config,
+        tel,
+        signature,
+        1,
+        &mut loss,
+        &mut retries,
+        |attempt| {
+            let inj = config.faults.scope(signature, attempt);
+            let created;
+            let (project, c2v) = match first.take() {
+                Some(Ok(pair)) => (&pair.0, pair.1),
+                Some(Err(e)) => return Err((e.clone(), Loss::default())),
+                None => {
+                    // An overlay-tier entry is deliberately *not* a hit here:
+                    // generation means producing the full artifact, so the
+                    // overlay commit of a crashed twin falls through to
+                    // regeneration (and is overwritten).
+                    if let Probe::Hit(hit) = probe_cache(bitstream_cache, &inj, signature, tel) {
+                        return Ok(hit);
+                    }
+                    // Phase 2: Netlist Generation.
+                    created = create_project_with(db, netlist_cache, pf, dfg, cand, tel)
+                        .map_err(|e| (e, Loss::default()))?;
+                    (&created.0, created.1)
                 }
-            }
-            Err((e, waste)) => {
-                loss.absorb(waste);
-                if attempt >= max_attempts {
-                    return Generated {
-                        produced: None,
-                        attempt,
-                        loss,
-                        retries,
-                        error: Some(e),
-                    };
-                }
-                let backoff = config.retry.backoff_for(attempt);
-                loss.backoff += backoff;
-                retries += 1;
-                tel.add(names::PIPELINE_RETRIES, 1);
-                tel.event(
-                    "candidate.retry",
-                    &[
-                        ("signature", TelValue::U64(signature)),
-                        ("attempt", TelValue::U64(attempt as u64)),
-                        ("backoff_ns", TelValue::U64(backoff.as_nanos())),
-                        ("error", TelValue::Str(e.to_string())),
-                    ],
-                );
-            }
-        }
+            };
+            // Phase 3: Instruction Implementation.
+            implement_project(bitstream_cache, config, &inj, project, c2v, signature, tel)
+        },
+    );
+    Generated {
+        result,
+        attempt,
+        loss,
+        retries,
     }
+}
+
+/// A quarantined signature is skipped outright: it exhausted its retries
+/// in an earlier run (or earlier in this one) and would only burn tool
+/// time again. Closes the candidate's span as a zero-time failure and
+/// returns the quarantine reason; `None` when the signature is clear.
+fn quarantine_skip(
+    config: &SpecializeConfig,
+    tel: &Telemetry,
+    signature: u64,
+    span: &mut Span,
+) -> Option<String> {
+    if !config.quarantine.contains(signature) {
+        return None;
+    }
+    let reason = config
+        .quarantine
+        .reason(signature)
+        .unwrap_or_else(|| "unknown".into());
+    tel.add(names::CANDIDATES_FAILED, 1);
+    tel.event(
+        "candidate.quarantine_skip",
+        &[("signature", TelValue::U64(signature))],
+    );
+    span.set_sim_time(SimTime::ZERO);
+    span.field("failed", TelValue::Bool(true));
+    span.field("attempts", TelValue::U64(0));
+    Some(reason)
 }
 
 /// Greedy lane schedule: each charge is placed on the least-loaded of
@@ -884,15 +859,168 @@ impl<'a> SpecializeSession<'a> {
         bitstream_cache: &'a BitstreamCache,
         config: &'a SpecializeConfig,
     ) -> (SpecializeSession<'a>, Vec<CadJob>) {
-        begin_session(
-            module,
-            profile,
-            machine,
-            estimator,
-            db,
-            netlist_cache,
-            bitstream_cache,
-            config,
+        let root = config.telemetry.span("pipeline.specialize");
+        let tel = config.telemetry.under(&root);
+
+        // ---- Phase 1: Candidate Search ----
+        let search = if tel.is_enabled() {
+            let mut search_cfg = config.search.clone();
+            search_cfg.telemetry = tel.clone();
+            candidate_search(module, profile, estimator, &search_cfg)
+        } else {
+            candidate_search(module, profile, estimator, &config.search)
+        };
+
+        // Snapshot the pristine functions: semantics freezing and signatures
+        // must see the unpatched IR even while we patch candidate by candidate.
+        let pristine = module.clone();
+
+        // ---- Dispatch pre-pass (serial, selection order) ----
+        // Quarantine checks, duplicate dedup, the attempt-1 cache probe, and
+        // phase 2 all observe shared state whose outcome depends on processing
+        // order; running them here, in selection order, makes every hit/miss
+        // decision identical for any worker count. Only the order-free tool
+        // flow leaves this thread.
+        let selected = &search.selection.selected;
+        let mut prepared: Vec<Prepared> = Vec::with_capacity(selected.len());
+        let mut spans: Vec<Option<Span>> = Vec::with_capacity(selected.len());
+        let mut jobs: Vec<CadJob> = Vec::new();
+        let mut dispatched: HashSet<u64> = HashSet::new();
+        // Many candidates share a block: build each block's DFG once, from one
+        // escape pass per function.
+        let mut escapes: HashMap<FuncId, Escapes> = HashMap::new();
+        let mut dfgs: HashMap<BlockKey, Arc<Dfg>> = HashMap::new();
+
+        for s in selected {
+            let cand = s.candidate.clone();
+            let pf = pristine.func(cand.key.func);
+            let dfg = Arc::clone(dfgs.entry(cand.key).or_insert_with(|| {
+                let escapes = escapes
+                    .entry(cand.key.func)
+                    .or_insert_with(|| Escapes::of(pf));
+                Arc::new(Dfg::build_with(pf, cand.key.block, escapes))
+            }));
+            let signature = cand.signature(pf, &dfg);
+            let mut cand_span = tel.span("pipeline.candidate");
+            let cand_tel = tel.under(&cand_span);
+            cand_span.field("signature", TelValue::U64(signature));
+            cand_span.field("size", TelValue::U64(cand.len() as u64));
+
+            let mut overlay: Option<OverlayPrep> = None;
+            let disposition = if let Some(reason) =
+                quarantine_skip(config, &cand_tel, signature, &mut cand_span)
+            {
+                Disposition::Skip(reason)
+            } else if !dispatched.insert(signature) {
+                Disposition::Dup
+            } else {
+                let inj = config.faults.scope(signature, 1);
+                match probe_cache(bitstream_cache, &inj, signature, &cand_tel) {
+                    Probe::Hit(hit) => Disposition::Resolved(Generated {
+                        result: Ok(hit),
+                        attempt: 1,
+                        loss: Loss::default(),
+                        retries: 0,
+                    }),
+                    probe => {
+                        // A rehydrated overlay commit (a warm restart after a
+                        // crash mid-upgrade) serves as the fast path for free;
+                        // the full flow still goes to the pool. With the
+                        // overlay disabled the entry is ignored and the full
+                        // regeneration overwrites it.
+                        if let (Probe::Overlay(entry), Some(_)) = (probe, &config.overlay) {
+                            overlay = Some(OverlayPrep {
+                                hw_cycles: machine.ci_cycles(&entry.timing),
+                                entry,
+                                assembly: SimTime::ZERO,
+                                cache_hit: true,
+                            });
+                        }
+                        // Phase 2 stays on this thread: netlist extraction time
+                        // is charged by first-touch misses, which must be
+                        // observed in selection order to stay
+                        // schedule-oblivious.
+                        let project =
+                            create_project_with(db, netlist_cache, pf, &dfg, &cand, &cand_tel);
+                        // The overlay fast path assembles here too: cell
+                        // mapping is a pure function of the project, and its
+                        // outcome gates finalize decisions, so it stays in
+                        // dispatch order. An unmappable candidate falls back
+                        // to full-only.
+                        if let (Ok((project, _)), None, Some(lib)) =
+                            (&project, &overlay, &config.overlay)
+                        {
+                            overlay = match map_overlay(lib, project) {
+                                Ok(m) => Some(OverlayPrep {
+                                    hw_cycles: machine.ci_cycles(&m.timing),
+                                    entry: CachedCi {
+                                        signature,
+                                        bitstream: m.bitstream,
+                                        timing: m.timing,
+                                        generation_time: m.assembly_time,
+                                        tier: InstallTier::Overlay,
+                                    },
+                                    assembly: m.assembly_time,
+                                    cache_hit: false,
+                                }),
+                                Err(e) => {
+                                    cand_tel.event(
+                                        "overlay.unmapped",
+                                        &[
+                                            ("signature", TelValue::U64(signature)),
+                                            ("error", TelValue::Str(e.to_string())),
+                                        ],
+                                    );
+                                    None
+                                }
+                            };
+                        }
+                        jobs.push(CadJob {
+                            prep: prepared.len(),
+                            pool: jobs.len(),
+                            first: project.map(Box::new),
+                            tel: cand_tel,
+                            signature,
+                        });
+                        Disposition::Pool(jobs.len() - 1)
+                    }
+                }
+            };
+            // A skipped candidate's span closes at dispatch; every other one
+            // stays open until its finalize turn.
+            spans.push(match disposition {
+                Disposition::Skip(_) => None,
+                _ => Some(cand_span),
+            });
+            prepared.push(Prepared {
+                cand,
+                saved_per_exec: s.estimate.saved_per_exec(),
+                exec_count: s.estimate.exec_count,
+                hw_cycles: s.estimate.hw_cycles,
+                dfg,
+                signature,
+                disposition,
+                overlay,
+            });
+        }
+
+        let job_count = jobs.len();
+        (
+            SpecializeSession {
+                machine,
+                db,
+                netlist_cache,
+                bitstream_cache,
+                config,
+                pristine,
+                search,
+                prepared,
+                spans,
+                root,
+                tel,
+                job_count,
+            },
+            jobs,
         )
     }
 
@@ -928,202 +1056,7 @@ impl<'a> SpecializeSession<'a> {
         module: &mut Module,
         results: Vec<CadJobResult>,
     ) -> Result<SpecializeReport> {
-        finalize_session(self, module, results)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn begin_session<'a>(
-    module: &Module,
-    profile: &Profile,
-    machine: &'a Woolcano,
-    estimator: &PivPavEstimator,
-    db: &'a CircuitDb,
-    netlist_cache: &'a NetlistCache,
-    bitstream_cache: &'a BitstreamCache,
-    config: &'a SpecializeConfig,
-) -> (SpecializeSession<'a>, Vec<CadJob>) {
-    let root = config.telemetry.span("pipeline.specialize");
-    let tel = config.telemetry.under(&root);
-
-    // ---- Phase 1: Candidate Search ----
-    let search = if tel.is_enabled() {
-        let mut search_cfg = config.search.clone();
-        search_cfg.telemetry = tel.clone();
-        candidate_search(module, profile, estimator, &search_cfg)
-    } else {
-        candidate_search(module, profile, estimator, &config.search)
-    };
-
-    // Snapshot the pristine functions: semantics freezing and signatures
-    // must see the unpatched IR even while we patch candidate by candidate.
-    let pristine = module.clone();
-
-    let selected: Vec<(Candidate, u64, u64, u64)> = search
-        .selection
-        .selected
-        .iter()
-        .map(|s| {
-            (
-                s.candidate.clone(),
-                s.estimate.saved_per_exec(),
-                s.estimate.exec_count,
-                s.estimate.hw_cycles,
-            )
-        })
-        .collect();
-
-    // ---- Dispatch pre-pass (serial, selection order) ----
-    // Quarantine checks, duplicate dedup, the attempt-1 cache probe, and
-    // phase 2 all observe shared state whose outcome depends on processing
-    // order; running them here, in selection order, makes every hit/miss
-    // decision identical for any worker count. Only the order-free tool
-    // flow leaves this thread.
-    let mut prepared: Vec<Prepared> = Vec::with_capacity(selected.len());
-    let mut spans: Vec<Option<Span>> = Vec::with_capacity(selected.len());
-    let mut jobs: Vec<CadJob> = Vec::new();
-    let mut dispatched: HashSet<u64> = HashSet::new();
-    // Many candidates share a block: build each block's DFG once, from one
-    // escape pass per function.
-    let mut escapes: HashMap<FuncId, Escapes> = HashMap::new();
-    let mut dfgs: HashMap<BlockKey, Arc<Dfg>> = HashMap::new();
-
-    for (cand, saved_per_exec, exec_count, hw_cycles) in selected {
-        let pf = pristine.func(cand.key.func);
-        let dfg = Arc::clone(dfgs.entry(cand.key).or_insert_with(|| {
-            let escapes = escapes
-                .entry(cand.key.func)
-                .or_insert_with(|| Escapes::of(pf));
-            Arc::new(Dfg::build_with(pf, cand.key.block, escapes))
-        }));
-        let signature = cand.signature(pf, &dfg);
-        let mut cand_span = tel.span("pipeline.candidate");
-        let cand_tel = tel.under(&cand_span);
-        cand_span.field("signature", TelValue::U64(signature));
-        cand_span.field("size", TelValue::U64(cand.len() as u64));
-
-        // A quarantined signature is skipped outright: it exhausted its
-        // retries in a previous run and would only burn tool time again.
-        let mut overlay: Option<OverlayPrep> = None;
-        let disposition = if config.quarantine.contains(signature) {
-            let reason = config
-                .quarantine
-                .reason(signature)
-                .unwrap_or_else(|| "unknown".into());
-            tel.add(names::CANDIDATES_FAILED, 1);
-            cand_tel.event(
-                "candidate.quarantine_skip",
-                &[("signature", TelValue::U64(signature))],
-            );
-            cand_span.set_sim_time(SimTime::ZERO);
-            cand_span.field("failed", TelValue::Bool(true));
-            cand_span.field("attempts", TelValue::U64(0));
-            drop(cand_span);
-            spans.push(None);
-            Disposition::Skip(reason)
-        } else if !dispatched.insert(signature) {
-            spans.push(Some(cand_span));
-            Disposition::Dup
-        } else {
-            let inj = config.faults.scope(signature, 1);
-            match probe_cache(bitstream_cache, config, &inj, signature, &cand_tel) {
-                Probe::Hit(hit) => {
-                    spans.push(Some(cand_span));
-                    Disposition::Resolved(Generated {
-                        produced: Some(hit),
-                        attempt: 1,
-                        loss: Loss::default(),
-                        retries: 0,
-                        error: None,
-                    })
-                }
-                probe => {
-                    // A rehydrated overlay commit (a warm restart after a
-                    // crash mid-upgrade) serves as the fast path for free;
-                    // the full flow still goes to the pool. With the
-                    // overlay disabled the entry is ignored and the full
-                    // regeneration overwrites it.
-                    if let (Probe::Overlay(entry), Some(_)) = (&probe, &config.overlay) {
-                        overlay = Some(OverlayPrep {
-                            hw_cycles: machine.ci_cycles(&entry.timing),
-                            entry: entry.clone(),
-                            assembly: SimTime::ZERO,
-                            cache_hit: true,
-                        });
-                    }
-                    // Phase 2 stays on this thread: netlist extraction time
-                    // is charged by first-touch misses, which must be
-                    // observed in selection order to stay
-                    // schedule-oblivious.
-                    let first =
-                        match create_project_with(db, netlist_cache, pf, &dfg, &cand, &cand_tel) {
-                            Ok(pair) => {
-                                // The overlay fast path assembles here too:
-                                // cell mapping is a pure function of the
-                                // project, and its outcome gates finalize
-                                // decisions, so it stays in dispatch order.
-                                if overlay.is_none() {
-                                    if let Some(lib) = &config.overlay {
-                                        match map_overlay(lib, &pair.0) {
-                                            Ok(m) => {
-                                                overlay = Some(OverlayPrep {
-                                                    hw_cycles: machine.ci_cycles(&m.timing),
-                                                    entry: CachedCi {
-                                                        signature,
-                                                        bitstream: m.bitstream,
-                                                        timing: m.timing,
-                                                        generation_time: m.assembly_time,
-                                                        tier: InstallTier::Overlay,
-                                                    },
-                                                    assembly: m.assembly_time,
-                                                    cache_hit: false,
-                                                });
-                                            }
-                                            Err(e) => {
-                                                // Unmappable candidate:
-                                                // fall back to full-only.
-                                                cand_tel.event(
-                                                    "overlay.unmapped",
-                                                    &[
-                                                        ("signature", TelValue::U64(signature)),
-                                                        ("error", TelValue::Str(e.to_string())),
-                                                    ],
-                                                );
-                                            }
-                                        }
-                                    }
-                                }
-                                FirstAttempt::Ready(Box::new(pair))
-                            }
-                            Err(e) => FirstAttempt::Failed(e),
-                        };
-                    jobs.push(CadJob {
-                        prep: prepared.len(),
-                        pool: jobs.len(),
-                        first,
-                        tel: cand_tel,
-                        signature,
-                    });
-                    spans.push(Some(cand_span));
-                    Disposition::Pool(jobs.len() - 1)
-                }
-            }
-        };
-        prepared.push(Prepared {
-            cand,
-            saved_per_exec,
-            exec_count,
-            hw_cycles,
-            dfg,
-            signature,
-            disposition,
-            overlay,
-        });
-    }
-
-    let job_count = jobs.len();
-    (
-        SpecializeSession {
+        let SpecializeSession {
             machine,
             db,
             netlist_cache,
@@ -1133,123 +1066,100 @@ fn begin_session<'a>(
             search,
             prepared,
             spans,
-            root,
+            mut root,
             tel,
             job_count,
-        },
-        jobs,
-    )
-}
-
-fn finalize_session(
-    session: SpecializeSession<'_>,
-    module: &mut Module,
-    results: Vec<CadJobResult>,
-) -> Result<SpecializeReport> {
-    let SpecializeSession {
-        machine,
-        db,
-        netlist_cache,
-        bitstream_cache,
-        config,
-        pristine,
-        search,
-        prepared,
-        spans,
-        mut root,
-        tel,
-        job_count,
-    } = session;
-    // Slot every pool result back at its dispatch position; arrival order
-    // carries no information.
-    assert_eq!(
-        results.len(),
-        job_count,
-        "finalize needs exactly one result per dispatched job"
-    );
-    let mut pooled: Vec<Option<Generated>> = (0..job_count).map(|_| None).collect();
-    for r in results {
-        assert!(
-            pooled[r.pool].is_none(),
-            "job result delivered twice for pool slot {}",
-            r.pool
+        } = self;
+        // Slot every pool result back at its dispatch position; arrival order
+        // carries no information.
+        assert_eq!(
+            results.len(),
+            job_count,
+            "finalize needs exactly one result per dispatched job"
         );
-        pooled[r.pool] = Some(r.generated);
-    }
+        let mut pooled: Vec<Option<Generated>> = (0..job_count).map(|_| None).collect();
+        for r in results {
+            assert!(
+                pooled[r.pool].is_none(),
+                "job result delivered twice for pool slot {}",
+                r.pool
+            );
+            pooled[r.pool] = Some(r.generated);
+        }
 
-    // ---- Finalize (serial, selection order) ----
-    // The single ICAP port and the IR patcher impose a serial adaptation
-    // phase anyway; doing all result accounting here too makes the report
-    // independent of worker completion order.
-    let mut outcomes = Vec::with_capacity(prepared.len());
-    let mut failed: Vec<FailedCandidate> = Vec::new();
-    let mut const_time = SimTime::ZERO;
-    let mut map_time = SimTime::ZERO;
-    let mut par_time = SimTime::ZERO;
-    let mut cache_hits = 0usize;
-    let mut retries = 0u64;
-    let mut newly_quarantined = 0u64;
-    let mut fault = Loss::default();
-    let mut charges: Vec<SimTime> = Vec::with_capacity(prepared.len());
-    let mut overlay_installs = 0usize;
-    let mut upgrades = 0usize;
-    let mut upgrades_failed = 0usize;
-    let mut total_overlay_time = SimTime::ZERO;
-    let max_attempts = config.retry.max_attempts.max(1);
+        // ---- Finalize (serial, selection order) ----
+        // The single ICAP port and the IR patcher impose a serial adaptation
+        // phase anyway; doing all result accounting here too makes the report
+        // independent of worker completion order.
+        let mut outcomes = Vec::with_capacity(prepared.len());
+        let mut failed: Vec<FailedCandidate> = Vec::new();
+        let mut const_time = SimTime::ZERO;
+        let mut map_time = SimTime::ZERO;
+        let mut par_time = SimTime::ZERO;
+        let mut cache_hits = 0usize;
+        let mut retries = 0u64;
+        let mut newly_quarantined = 0u64;
+        let mut fault = Loss::default();
+        let mut charges: Vec<SimTime> = Vec::with_capacity(prepared.len());
+        let mut overlay_installs = 0usize;
+        let mut upgrades = 0usize;
+        let mut upgrades_failed = 0usize;
+        let mut total_overlay_time = SimTime::ZERO;
 
-    for (prep, mut cand_span) in prepared.into_iter().zip(spans) {
-        let Prepared {
-            cand,
-            saved_per_exec,
-            exec_count,
-            hw_cycles,
-            dfg,
-            signature,
-            disposition,
-            overlay: overlay_prep,
-        } = prep;
-        let pf = pristine.func(cand.key.func);
-        let cand_tel = match &cand_span {
-            Some(span) => tel.under(span),
-            None => tel.clone(),
-        };
+        for (prep, mut cand_span) in prepared.into_iter().zip(spans) {
+            let Prepared {
+                cand,
+                saved_per_exec,
+                exec_count,
+                hw_cycles,
+                dfg,
+                signature,
+                disposition,
+                overlay: overlay_prep,
+            } = prep;
+            let pf = pristine.func(cand.key.func);
+            let cand_tel = match &cand_span {
+                Some(span) => tel.under(span),
+                None => tel.clone(),
+            };
 
-        let generated = match disposition {
-            Disposition::Skip(reason) => {
-                failed.push(FailedCandidate {
-                    key: cand.key,
-                    size: cand.len(),
-                    signature,
-                    attempts: 0,
-                    error: format!("quarantined: {reason}"),
-                    time_lost: SimTime::ZERO,
-                    quarantined: true,
-                });
-                charges.push(SimTime::ZERO);
-                continue;
-            }
-            Disposition::Resolved(g) => g,
-            Disposition::Pool(idx) => pooled[idx].take().expect("pool result consumed once"),
-            Disposition::Dup => {
+            let generated = match disposition {
+                Disposition::Skip(reason) => Err(reason),
+                Disposition::Resolved(g) => Ok(g),
+                Disposition::Pool(idx) => {
+                    Ok(pooled[idx].take().expect("pool result consumed once"))
+                }
                 // The twin settled at its own finalize turn. Re-check the
                 // quarantine — it may have grown this run — then run the
-                // generation loop inline: in the common case a clean hit
-                // on the entry the twin just cached.
-                if config.quarantine.contains(signature) {
-                    let reason = config
-                        .quarantine
-                        .reason(signature)
-                        .unwrap_or_else(|| "unknown".into());
-                    tel.add(names::CANDIDATES_FAILED, 1);
-                    cand_tel.event(
-                        "candidate.quarantine_skip",
-                        &[("signature", TelValue::U64(signature))],
-                    );
-                    if let Some(mut span) = cand_span.take() {
-                        span.set_sim_time(SimTime::ZERO);
-                        span.field("failed", TelValue::Bool(true));
-                        span.field("attempts", TelValue::U64(0));
+                // generation loop inline: in the common case a clean hit on
+                // the entry the twin just cached.
+                Disposition::Dup => {
+                    let span = cand_span.as_mut().expect("a duplicate keeps its span");
+                    match quarantine_skip(config, &cand_tel, signature, span) {
+                        Some(reason) => Err(reason),
+                        None => Ok(run_generation(
+                            db,
+                            netlist_cache,
+                            bitstream_cache,
+                            config,
+                            pf,
+                            &dfg,
+                            &cand,
+                            signature,
+                            None,
+                            &cand_tel,
+                        )),
                     }
+                }
+            };
+            let Generated {
+                result,
+                mut attempt,
+                mut loss,
+                retries: gen_retries,
+            } = match generated {
+                Ok(g) => g,
+                Err(reason) => {
                     failed.push(FailedCandidate {
                         key: cand.key,
                         size: cand.len(),
@@ -1262,404 +1172,343 @@ fn finalize_session(
                     charges.push(SimTime::ZERO);
                     continue;
                 }
-                run_generation(
-                    db,
-                    netlist_cache,
-                    bitstream_cache,
-                    config,
+            };
+            retries += gen_retries;
+            let (mut produced, error) = match result {
+                Ok(p) => (Some(p), None),
+                Err(e) => (None, Some(e)),
+            };
+
+            // ---- Overlay fast path (DESIGN.md §17) ----
+            // Installed serially before the background result is applied: in
+            // deployment the candidate serves at millisecond latency while the
+            // full flow is still in flight. A failed overlay install falls back
+            // to the full-only path; a fresh overlay commit is journaled so a
+            // crash before the upgrade rehydrates the overlay tier.
+            let mut overlay_time = SimTime::ZERO;
+            let mut overlay_saved_per_exec = 0u64;
+            let mut overlay_slot: Option<(u32, OverlayPrep)> = None;
+            if let Some(op) = overlay_prep {
+                let to = Transfer::Install {
                     pf,
-                    &dfg,
-                    &cand,
-                    signature,
-                    None,
+                    dfg: &dfg,
+                    cand: &cand,
+                    tier: InstallTier::Overlay,
+                };
+                let (_, installed) = with_retries(
+                    config,
                     &cand_tel,
-                )
+                    signature,
+                    1,
+                    &mut loss,
+                    &mut retries,
+                    |a| {
+                        let inj = config.faults.scope(signature ^ OVERLAY_SCOPE_SALT, a);
+                        transfer(&op.entry, &inj, machine, op.hw_cycles, to, &cand_tel)
+                    },
+                );
+                match installed {
+                    Ok(slot) => {
+                        // Savings under the overlay clock: the software cycles
+                        // (`saved_per_exec + hw_cycles`) minus the overlay's
+                        // own cycle count — floored at zero for candidates the
+                        // degraded fabric cannot beat.
+                        overlay_saved_per_exec = saved_per_exec
+                            .saturating_add(hw_cycles)
+                            .saturating_sub(op.hw_cycles);
+                        overlay_time = op.assembly;
+                        overlay_installs += 1;
+                        tel.add(names::OVERLAY_INSTALLS, 1);
+                        cand_tel.event(
+                            "overlay.installed",
+                            &[
+                                ("signature", TelValue::U64(signature)),
+                                ("slot", TelValue::U64(slot as u64)),
+                            ],
+                        );
+                        // Journal the overlay commit now: a crash before the
+                        // upgrade lands must rehydrate this tier.
+                        if !op.cache_hit {
+                            journal(config.store.as_deref(), &cand_tel, |_| {
+                                Record::CacheEntry(op.entry.clone().into())
+                            });
+                        }
+                        overlay_slot = Some((slot, op));
+                    }
+                    Err(e) => {
+                        // The assembly work is wasted along with the dead
+                        // transfers; full-only fallback.
+                        loss.constant += op.assembly;
+                        cand_tel.event(
+                            "overlay.install_failed",
+                            &[
+                                ("signature", TelValue::U64(signature)),
+                                ("error", TelValue::Str(e.to_string())),
+                            ],
+                        );
+                    }
+                }
             }
-        };
+            total_overlay_time += overlay_time;
 
-        let Generated {
-            mut produced,
-            mut attempt,
-            mut loss,
-            retries: gen_retries,
-            error,
-        } = generated;
-        retries += gen_retries;
-
-        // ---- Overlay fast path (DESIGN.md §17) ----
-        // Installed serially before the background result is applied: in
-        // deployment the candidate serves at millisecond latency while the
-        // full flow is still in flight. A failed overlay install falls back
-        // to the full-only path; a fresh overlay commit is journaled so a
-        // crash before the upgrade rehydrates the overlay tier.
-        let mut overlay_time = SimTime::ZERO;
-        let mut overlay_saved_per_exec = 0u64;
-        let overlay_slot: Option<(u32, OverlayPrep)> = if let Some(op) = overlay_prep {
-            let mut o_attempt = 0u32;
-            let installed = loop {
-                o_attempt += 1;
-                let inj = config
-                    .faults
-                    .scope(signature ^ OVERLAY_SCOPE_SALT, o_attempt);
-                match install_overlay(&op, &inj, pf, &dfg, &cand, machine, &cand_tel) {
-                    Ok(slot) => break Some(slot),
-                    Err((e, waste)) => {
-                        loss.absorb(waste);
-                        if o_attempt >= max_attempts {
-                            // The assembly work is wasted along with the
-                            // dead transfers; full-only fallback.
-                            loss.constant += op.assembly;
+            // Adaptation: the ICAP install — or, on the two-tier path, the
+            // upgrade swap — serialized here behind the single reconfiguration
+            // port, continuing the attempt numbering where generation stopped.
+            // Generation survives an install failure: only the transfer is
+            // re-attempted.
+            let mut tier = InstallTier::Full;
+            let mut upgraded = false;
+            let to = match overlay_slot {
+                Some(_) => Transfer::Upgrade(signature),
+                None => Transfer::Install {
+                    pf,
+                    dfg: &dfg,
+                    cand: &cand,
+                    tier: InstallTier::Full,
+                },
+            };
+            let result: std::result::Result<u32, Error> = match (error, &produced) {
+                // The background generation exhausted its retries while the
+                // overlay serves correct answers: the candidate *succeeds* at
+                // the overlay tier. The generation waste stays on the fault
+                // ledger, and the overlay entry is committed to the in-memory
+                // cache so the next session rehydrates the fast path instead
+                // of starting cold.
+                (Some(e), _) if overlay_slot.is_some() => {
+                    let (oslot, op) = overlay_slot.expect("overlay installed");
+                    tier = InstallTier::Overlay;
+                    cand_tel.event(
+                        "overlay.retained",
+                        &[
+                            ("signature", TelValue::U64(signature)),
+                            ("error", TelValue::Str(e.to_string())),
+                        ],
+                    );
+                    bitstream_cache.put(op.entry);
+                    Ok(oslot)
+                }
+                (Some(e), _) => Err(e),
+                (None, p) => {
+                    let p = p.as_ref().expect("generation succeeded");
+                    let moved;
+                    (attempt, moved) = with_retries(
+                        config,
+                        &cand_tel,
+                        signature,
+                        attempt,
+                        &mut loss,
+                        &mut retries,
+                        |a| {
+                            let inj = config.faults.scope(signature, a);
+                            transfer(&p.entry, &inj, machine, hw_cycles, to, &cand_tel)
+                        },
+                    );
+                    match (moved, overlay_slot) {
+                        (Ok(slot), overlay) => {
+                            upgraded = overlay.is_some();
+                            upgrades += upgraded as usize;
+                            Ok(slot)
+                        }
+                        // Swap abandoned: the overlay keeps serving. The full
+                        // artifact stays cached (and journaled below), so the
+                        // next session upgrades from a clean start.
+                        (Err(e), Some((oslot, _))) => {
+                            tier = InstallTier::Overlay;
+                            upgrades_failed += 1;
+                            tel.add(names::OVERLAY_UPGRADES_FAILED, 1);
                             cand_tel.event(
-                                "overlay.install_failed",
+                                "overlay.upgrade_abandoned",
                                 &[
                                     ("signature", TelValue::U64(signature)),
                                     ("error", TelValue::Str(e.to_string())),
                                 ],
                             );
-                            break None;
+                            Ok(oslot)
                         }
-                        let backoff = config.retry.backoff_for(o_attempt);
-                        loss.backoff += backoff;
-                        retries += 1;
-                        tel.add(names::PIPELINE_RETRIES, 1);
-                        cand_tel.event(
-                            "candidate.retry",
-                            &[
-                                ("signature", TelValue::U64(signature)),
-                                ("attempt", TelValue::U64(o_attempt as u64)),
-                                ("backoff_ns", TelValue::U64(backoff.as_nanos())),
-                                ("error", TelValue::Str(e.to_string())),
-                            ],
-                        );
+                        (Err(e), None) => Err(e),
                     }
                 }
             };
-            match installed {
-                Some(slot) => {
-                    // Savings under the overlay clock: the software cycles
-                    // (`saved_per_exec + hw_cycles`) minus the overlay's
-                    // own cycle count — floored at zero for candidates the
-                    // degraded fabric cannot beat.
-                    overlay_saved_per_exec = saved_per_exec
-                        .saturating_add(hw_cycles)
-                        .saturating_sub(op.hw_cycles);
-                    overlay_time = op.assembly;
-                    overlay_installs += 1;
-                    tel.add(names::OVERLAY_INSTALLS, 1);
-                    cand_tel.event(
-                        "overlay.installed",
-                        &[
-                            ("signature", TelValue::U64(signature)),
-                            ("slot", TelValue::U64(slot as u64)),
-                        ],
-                    );
-                    // Journal the overlay commit now: a crash before the
-                    // upgrade lands must rehydrate this tier.
-                    if !op.cache_hit {
-                        if let Some(store) = &config.store {
-                            let _span = cand_tel.span("store.append");
-                            let _ = store.append(Record::CacheEntry(op.entry.clone().into()));
-                        }
-                    }
-                    Some((slot, op))
-                }
-                None => None,
-            }
-        } else {
-            None
-        };
-        total_overlay_time += overlay_time;
 
-        // Adaptation: the ICAP install — or, on the two-tier path, the
-        // upgrade swap — serialized here behind the single reconfiguration
-        // port, continuing the attempt numbering where generation stopped.
-        // Generation survives an install failure: only the transfer is
-        // re-attempted.
-        let mut tier = InstallTier::Full;
-        let mut upgraded = false;
-        let result: std::result::Result<u32, Error> = if let Some((oslot, op)) = overlay_slot {
-            if let Some(e) = error {
-                // The background generation exhausted its retries while
-                // the overlay serves correct answers: the candidate
-                // *succeeds* at the overlay tier. The generation waste
-                // stays on the fault ledger, and the overlay entry is
-                // committed to the in-memory cache so the next session
-                // rehydrates the fast path instead of starting cold.
-                tier = InstallTier::Overlay;
-                cand_tel.event(
-                    "overlay.retained",
-                    &[
-                        ("signature", TelValue::U64(signature)),
-                        ("error", TelValue::Str(e.to_string())),
-                    ],
-                );
-                if config.use_cache {
-                    bitstream_cache.put(op.entry.clone());
-                }
-                Ok(oslot)
-            } else {
-                loop {
-                    let p = produced.as_ref().expect("generation succeeded");
-                    let inj = config.faults.scope(signature, attempt);
-                    match upgrade_produced(p, &inj, machine, signature, hw_cycles, &cand_tel) {
-                        Ok(slot) => {
-                            upgraded = true;
-                            upgrades += 1;
-                            break Ok(slot);
-                        }
-                        Err((e, waste)) => {
-                            loss.absorb(waste);
-                            if attempt >= max_attempts {
-                                // Swap abandoned: the overlay keeps
-                                // serving. The full artifact stays cached
-                                // (and journaled below), so the next
-                                // session upgrades from a clean start.
-                                tier = InstallTier::Overlay;
-                                upgrades_failed += 1;
-                                tel.add(names::OVERLAY_UPGRADES_FAILED, 1);
-                                cand_tel.event(
-                                    "overlay.upgrade_abandoned",
-                                    &[
-                                        ("signature", TelValue::U64(signature)),
-                                        ("error", TelValue::Str(e.to_string())),
-                                    ],
-                                );
-                                break Ok(oslot);
+            // Patching is deterministic IR surgery: an error there is not
+            // retryable, but it is still isolated to this candidate.
+            let result: std::result::Result<u32, Error> = result.and_then(|slot| {
+                patch_candidate(module.func_mut(cand.key.func), &cand, slot).map(|_| slot)
+            });
+
+            match result {
+                Ok(slot) => {
+                    // `produced` is absent on the overlay-retained path (the
+                    // background generation failed and the overlay serves).
+                    let (p_cache_hit, p_c2v, p_const, p_map, p_par) = match produced.take() {
+                        Some(p) => {
+                            if p.cache_hit {
+                                cache_hits += 1;
+                                tel.add(names::BITSTREAM_CACHE_HITS, 1);
+                            } else {
+                                tel.add(names::BITSTREAM_CACHE_MISSES, 1);
+                                // Commit the freshly generated implementation
+                                // to the persistent store (cache hits were
+                                // journaled by the session that generated
+                                // them).
+                                journal(config.store.as_deref(), &cand_tel, |_| {
+                                    Record::CacheEntry(p.entry.clone().into())
+                                });
                             }
-                            let backoff = config.retry.backoff_for(attempt);
-                            loss.backoff += backoff;
-                            retries += 1;
-                            tel.add(names::PIPELINE_RETRIES, 1);
-                            cand_tel.event(
-                                "candidate.retry",
-                                &[
-                                    ("signature", TelValue::U64(signature)),
-                                    ("attempt", TelValue::U64(attempt as u64)),
-                                    ("backoff_ns", TelValue::U64(backoff.as_nanos())),
-                                    ("error", TelValue::Str(e.to_string())),
-                                ],
-                            );
-                            attempt += 1;
+                            const_time += p.c2v + p.const_stages;
+                            map_time += p.map;
+                            par_time += p.par;
+                            (p.cache_hit, p.c2v, p.const_stages, p.map, p.par)
                         }
+                        None => (
+                            false,
+                            SimTime::ZERO,
+                            SimTime::ZERO,
+                            SimTime::ZERO,
+                            SimTime::ZERO,
+                        ),
+                    };
+                    fault.absorb(loss);
+                    let charge = p_c2v + p_const + p_map + p_par + loss.total() + overlay_time;
+                    if let Some(mut span) = cand_span.take() {
+                        span.set_sim_time(charge);
+                        span.field("cache_hit", TelValue::Bool(p_cache_hit));
+                        span.field("slot", TelValue::U64(slot as u64));
+                        span.field("attempts", TelValue::U64(attempt as u64));
+                        span.field("tier", TelValue::Str(tier.name().into()));
+                        span.field("upgraded", TelValue::Bool(upgraded));
                     }
+                    charges.push(charge);
+                    outcomes.push(CandidateOutcome {
+                        key: cand.key,
+                        size: cand.len(),
+                        signature,
+                        cache_hit: p_cache_hit,
+                        c2v: p_c2v,
+                        const_stages: p_const,
+                        map: p_map,
+                        par: p_par,
+                        slot,
+                        saved_per_exec,
+                        exec_count,
+                        attempts: attempt,
+                        time_lost: loss.total(),
+                        tier,
+                        overlay_time,
+                        upgraded,
+                        overlay_saved_per_exec,
+                    });
                 }
-            }
-        } else if let Some(e) = error {
-            Err(e)
-        } else {
-            loop {
-                let p = produced.as_ref().expect("generation succeeded");
-                let inj = config.faults.scope(signature, attempt);
-                match install_produced(p, &inj, pf, &dfg, &cand, machine, hw_cycles, &cand_tel) {
-                    Ok(slot) => break Ok(slot),
-                    Err((e, waste)) => {
-                        loss.absorb(waste);
-                        if attempt >= max_attempts {
-                            break Err(e);
-                        }
-                        let backoff = config.retry.backoff_for(attempt);
-                        loss.backoff += backoff;
-                        retries += 1;
-                        tel.add(names::PIPELINE_RETRIES, 1);
+                Err(e) => {
+                    // Exhausted: everything this candidate burned — including
+                    // a successful generation whose install then failed — is
+                    // wasted time, charged to the fault ledger so the journal
+                    // still reconciles exactly.
+                    if let Some(p) = produced.take() {
+                        loss.constant += p.c2v + p.const_stages;
+                        loss.map += p.map;
+                        loss.par += p.par;
+                    }
+                    let error = e.to_string();
+                    let newly = config.quarantine.insert(signature, &error);
+                    tel.add(names::CANDIDATES_FAILED, 1);
+                    if newly {
+                        tel.add(names::CANDIDATES_QUARANTINED, 1);
                         cand_tel.event(
-                            "candidate.retry",
+                            "candidate.quarantined",
                             &[
                                 ("signature", TelValue::U64(signature)),
-                                ("attempt", TelValue::U64(attempt as u64)),
-                                ("backoff_ns", TelValue::U64(backoff.as_nanos())),
-                                ("error", TelValue::Str(e.to_string())),
+                                ("error", TelValue::Str(error.clone())),
                             ],
                         );
-                        attempt += 1;
-                    }
-                }
-            }
-        };
-
-        // Patching is deterministic IR surgery: an error there is not
-        // retryable, but it is still isolated to this candidate.
-        let result: std::result::Result<u32, Error> = result.and_then(|slot| {
-            patch_candidate(module.func_mut(cand.key.func), &cand, slot).map(|_| slot)
-        });
-
-        match result {
-            Ok(slot) => {
-                // `produced` is absent on the overlay-retained path (the
-                // background generation failed and the overlay serves).
-                let (p_cache_hit, p_c2v, p_const, p_map, p_par) = match produced.take() {
-                    Some(p) => {
-                        if p.cache_hit {
-                            cache_hits += 1;
-                            tel.add(names::BITSTREAM_CACHE_HITS, 1);
-                        } else {
-                            tel.add(names::BITSTREAM_CACHE_MISSES, 1);
-                            // Commit the freshly generated implementation
-                            // to the persistent store (cache hits were
-                            // journaled by the session that generated
-                            // them). Fire-and-forget: a dead store must
-                            // never fail the candidate.
-                            if let Some(store) = &config.store {
-                                let _span = cand_tel.span("store.append");
-                                let _ = store.append(Record::CacheEntry(p.entry.clone().into()));
-                            }
-                        }
-                        const_time += p.c2v + p.const_stages;
-                        map_time += p.map;
-                        par_time += p.par;
-                        (p.cache_hit, p.c2v, p.const_stages, p.map, p.par)
-                    }
-                    None => (
-                        false,
-                        SimTime::ZERO,
-                        SimTime::ZERO,
-                        SimTime::ZERO,
-                        SimTime::ZERO,
-                    ),
-                };
-                fault.absorb(loss);
-                let charge = p_c2v + p_const + p_map + p_par + loss.total() + overlay_time;
-                if let Some(mut span) = cand_span.take() {
-                    span.set_sim_time(charge);
-                    span.field("cache_hit", TelValue::Bool(p_cache_hit));
-                    span.field("slot", TelValue::U64(slot as u64));
-                    span.field("attempts", TelValue::U64(attempt as u64));
-                    span.field("tier", TelValue::Str(tier.name().into()));
-                    span.field("upgraded", TelValue::Bool(upgraded));
-                }
-                charges.push(charge);
-                outcomes.push(CandidateOutcome {
-                    key: cand.key,
-                    size: cand.len(),
-                    signature,
-                    cache_hit: p_cache_hit,
-                    c2v: p_c2v,
-                    const_stages: p_const,
-                    map: p_map,
-                    par: p_par,
-                    slot,
-                    saved_per_exec,
-                    exec_count,
-                    attempts: attempt,
-                    time_lost: loss.total(),
-                    tier,
-                    overlay_time,
-                    upgraded,
-                    overlay_saved_per_exec,
-                });
-            }
-            Err(e) => {
-                // Exhausted: everything this candidate burned — including
-                // a successful generation whose install then failed — is
-                // wasted time, charged to the fault ledger so the journal
-                // still reconciles exactly.
-                if let Some(p) = produced.take() {
-                    loss.constant += p.c2v + p.const_stages;
-                    loss.map += p.map;
-                    loss.par += p.par;
-                }
-                let error = e.to_string();
-                let newly = config.quarantine.insert(signature, &error);
-                tel.add(names::CANDIDATES_FAILED, 1);
-                if newly {
-                    tel.add(names::CANDIDATES_QUARANTINED, 1);
-                    cand_tel.event(
-                        "candidate.quarantined",
-                        &[
-                            ("signature", TelValue::U64(signature)),
-                            ("error", TelValue::Str(error.clone())),
-                        ],
-                    );
-                    newly_quarantined += 1;
-                    if let Some(store) = &config.store {
-                        let _span = cand_tel.span("store.append");
-                        let _ = store.append(Record::Quarantine {
+                        newly_quarantined += 1;
+                        journal(config.store.as_deref(), &cand_tel, |_| Record::Quarantine {
                             signature,
                             reason: error.clone(),
                         });
                     }
+                    cand_tel.event(
+                        "candidate.failed",
+                        &[
+                            ("signature", TelValue::U64(signature)),
+                            ("attempts", TelValue::U64(attempt as u64)),
+                            ("error", TelValue::Str(error.clone())),
+                        ],
+                    );
+                    fault.absorb(loss);
+                    if let Some(mut span) = cand_span.take() {
+                        // `overlay_time` is non-zero here only when patching
+                        // failed after a successful overlay install; the charge
+                        // keeps the lane ledger reconciling exactly.
+                        span.set_sim_time(loss.total() + overlay_time);
+                        span.field("failed", TelValue::Bool(true));
+                        span.field("attempts", TelValue::U64(attempt as u64));
+                    }
+                    charges.push(loss.total() + overlay_time);
+                    failed.push(FailedCandidate {
+                        key: cand.key,
+                        size: cand.len(),
+                        signature,
+                        attempts: attempt,
+                        error,
+                        time_lost: loss.total(),
+                        quarantined: newly,
+                    });
                 }
-                cand_tel.event(
-                    "candidate.failed",
-                    &[
-                        ("signature", TelValue::U64(signature)),
-                        ("attempts", TelValue::U64(attempt as u64)),
-                        ("error", TelValue::Str(error.clone())),
-                    ],
-                );
-                fault.absorb(loss);
-                if let Some(mut span) = cand_span.take() {
-                    // `overlay_time` is non-zero here only when patching
-                    // failed after a successful overlay install; the charge
-                    // keeps the lane ledger reconciling exactly.
-                    span.set_sim_time(loss.total() + overlay_time);
-                    span.field("failed", TelValue::Bool(true));
-                    span.field("attempts", TelValue::U64(attempt as u64));
-                }
-                charges.push(loss.total() + overlay_time);
-                failed.push(FailedCandidate {
-                    key: cand.key,
-                    size: cand.len(),
-                    signature,
-                    attempts: attempt,
-                    error,
-                    time_lost: loss.total(),
-                    quarantined: newly,
-                });
             }
         }
-    }
 
-    let sum_time = const_time + map_time + par_time;
-    let cpu_time: SimTime = charges.iter().copied().sum();
-    debug_assert_eq!(cpu_time, sum_time + fault.total() + total_overlay_time);
+        let sum_time = const_time + map_time + par_time;
+        let cpu_time: SimTime = charges.iter().copied().sum();
+        debug_assert_eq!(cpu_time, sum_time + fault.total() + total_overlay_time);
 
-    // Journal the cumulative fault-ledger totals (latest-wins on replay).
-    if let Some(store) = &config.store {
-        let _span = tel.span("store.append");
-        let prior = store.totals();
-        let _ = store.append(Record::FaultTotals(FaultTotals {
-            sessions: prior.sessions + 1,
-            retries: prior.retries + retries,
-            quarantined: prior.quarantined + newly_quarantined,
-            fault_time_ns: prior.fault_time_ns.saturating_add(fault.total().as_nanos()),
-        }));
+        // Journal the cumulative fault-ledger totals (latest-wins on replay).
+        journal(config.store.as_deref(), &tel, |store| {
+            let prior = store.totals();
+            Record::FaultTotals(FaultTotals {
+                sessions: prior.sessions + 1,
+                retries: prior.retries + retries,
+                quarantined: prior.quarantined + newly_quarantined,
+                fault_time_ns: prior.fault_time_ns.saturating_add(fault.total().as_nanos()),
+            })
+        });
+        let lanes = config.cad_workers.max(1);
+        let makespan = lane_makespan(lanes, &charges);
+        root.set_sim_time(cpu_time);
+        root.field("candidates", TelValue::U64(outcomes.len() as u64));
+        root.field("cache_hits", TelValue::U64(cache_hits as u64));
+        root.field("failed", TelValue::U64(failed.len() as u64));
+        root.field("retries", TelValue::U64(retries));
+        root.field("cad_workers", TelValue::U64(lanes as u64));
+        root.field("makespan_ns", TelValue::U64(makespan.as_nanos()));
+        root.field("overlay_installs", TelValue::U64(overlay_installs as u64));
+        root.field("upgrades", TelValue::U64(upgrades as u64));
+        drop(root);
+        Ok(SpecializeReport {
+            search,
+            candidates: outcomes,
+            const_time,
+            map_time,
+            par_time,
+            sum_time,
+            reconfig_time: machine.total_reconfig_time(),
+            cache_hits,
+            failed,
+            retries,
+            fault_const_time: fault.constant,
+            fault_map_time: fault.map,
+            fault_par_time: fault.par,
+            fault_icap_time: fault.icap,
+            backoff_time: fault.backoff,
+            cpu_time,
+            makespan,
+            cad_workers: lanes,
+            overlay_installs,
+            upgrades,
+            upgrades_failed,
+            overlay_time: total_overlay_time,
+        })
     }
-    let lanes = config.cad_workers.max(1);
-    let makespan = lane_makespan(lanes, &charges);
-    root.set_sim_time(cpu_time);
-    root.field("candidates", TelValue::U64(outcomes.len() as u64));
-    root.field("cache_hits", TelValue::U64(cache_hits as u64));
-    root.field("failed", TelValue::U64(failed.len() as u64));
-    root.field("retries", TelValue::U64(retries));
-    root.field("cad_workers", TelValue::U64(lanes as u64));
-    root.field("makespan_ns", TelValue::U64(makespan.as_nanos()));
-    root.field("overlay_installs", TelValue::U64(overlay_installs as u64));
-    root.field("upgrades", TelValue::U64(upgrades as u64));
-    drop(root);
-    Ok(SpecializeReport {
-        search,
-        candidates: outcomes,
-        const_time,
-        map_time,
-        par_time,
-        sum_time,
-        reconfig_time: machine.total_reconfig_time(),
-        cache_hits,
-        failed,
-        retries,
-        fault_const_time: fault.constant,
-        fault_map_time: fault.map,
-        fault_par_time: fault.par,
-        fault_icap_time: fault.icap,
-        backoff_time: fault.backoff,
-        cpu_time,
-        makespan,
-        cad_workers: lanes,
-        overlay_installs,
-        upgrades,
-        upgrades_failed,
-        overlay_time: total_overlay_time,
-    })
 }
 
 #[cfg(test)]

@@ -6,11 +6,13 @@
 //! completed … the adaptation phase occurs where [the] ASIP architecture
 //! is reconfigured and the application binary is modified").
 //!
-//! [`run_adaptive`] models exactly that: the main thread keeps executing
+//! One session core models exactly that: the main thread keeps executing
 //! the workload run after run; a background worker profiles-and-
 //! specializes; on completion the main loop hot-swaps to the specialized
-//! binary and the loaded Woolcano machine. §VI-B's observation that one
-//! can "run the FPGA tool concurrently" is realized by the worker pool.
+//! binary and the loaded Woolcano machine. [`run_storm`] runs the core
+//! with its phase detector on; [`run_adaptive_with`] is the same core over
+//! one segment with the detector off. §VI-B's observation that one can
+//! "run the FPGA tool concurrently" is realized by the worker pool.
 //!
 //! The runtime never depends on the worker's health: a dead, panicked, or
 //! stalled worker degrades the session to software-only execution
@@ -19,14 +21,14 @@
 
 use crate::cache::BitstreamCache;
 use crate::evaluation::EvalContext;
-use crate::pipeline::{specialize, SpecializeConfig, SpecializeReport};
+use crate::pipeline::{journal, note_fault, specialize, SpecializeConfig, SpecializeReport};
 use jitise_base::hash::SigHasher;
 use jitise_base::{Error, Result, SimTime};
 use jitise_cad::OverlayLibrary;
 use jitise_faults::{FaultInjector, FaultSite, Quarantine, RetryPolicy};
 use jitise_ir::Module;
-use jitise_ise::{SearchConfig, SearchMemo};
-use jitise_store::{Record, Store};
+use jitise_ise::SearchConfig;
+use jitise_store::{Record, Store, StoreState};
 use jitise_telemetry::{names, Telemetry, Value as TelValue};
 use jitise_vm::{
     BlockKey, CostModel, HotnessWindow, Interpreter, PredecodedModule, Profile, Value, VmTier,
@@ -78,9 +80,6 @@ pub struct AdaptiveOptions {
     /// (default 1 = sequential search). Changes only wall-clock, never
     /// results.
     pub search_workers: usize,
-    /// Optional identification memo. Keep the `Arc` across sessions and
-    /// repeated adaptive searches skip re-identifying unchanged blocks.
-    pub search_memo: Option<Arc<SearchMemo>>,
     /// Optional crash-consistent store (opened/recovered by the caller).
     /// At session start its recovered cache entries hydrate the bitstream
     /// cache (a warm restart: they count as cache hits) and its recovered
@@ -106,9 +105,29 @@ impl Default for AdaptiveOptions {
             quarantine: Arc::new(Quarantine::new()),
             cad_workers: 1,
             search_workers: 1,
-            search_memo: None,
             store: None,
             overlay: None,
+        }
+    }
+}
+
+impl AdaptiveOptions {
+    /// The pipeline configuration of every specialization a session runs:
+    /// the background worker's and each storm re-specialization's.
+    fn specialize_config(&self, telemetry: Telemetry, faults: FaultInjector) -> SpecializeConfig {
+        SpecializeConfig {
+            search: SearchConfig {
+                workers: self.search_workers,
+                ..SearchConfig::default()
+            },
+            telemetry,
+            faults,
+            retry: self.retry,
+            quarantine: Arc::clone(&self.quarantine),
+            cad_workers: self.cad_workers,
+            store: self.store.clone(),
+            overlay: self.overlay.clone(),
+            ..SpecializeConfig::default()
         }
     }
 }
@@ -174,10 +193,13 @@ impl Drop for CancelGuard {
     }
 }
 
+/// A specialized binary, its loaded machine and the report that made it.
+type Specialized = (Module, Woolcano, SpecializeReport);
+
 fn wait_for_worker(
-    rx: &Receiver<Result<(Module, Woolcano, SpecializeReport)>>,
+    rx: &Receiver<Result<Specialized>>,
     watchdog: Duration,
-) -> std::result::Result<(Module, Woolcano, SpecializeReport), DegradedReason> {
+) -> std::result::Result<Specialized, DegradedReason> {
     match rx.recv_timeout(watchdog) {
         Ok(Ok(t)) => Ok(t),
         Ok(Err(e)) => Err(DegradedReason::SpecializeFailed(e.to_string())),
@@ -195,30 +217,116 @@ fn note_degraded(tel: &Telemetry, reason: DegradedReason) -> DegradedReason {
     reason
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic".into()
-    }
+/// Specializes a copy of `module` onto a fresh machine. A panic anywhere
+/// in the pipeline comes back as `Err(message)` instead of tearing down
+/// the process.
+fn specialize_copy(
+    ctx: &EvalContext,
+    cache: &BitstreamCache,
+    module: &Module,
+    profile: &Profile,
+    config: &SpecializeConfig,
+) -> std::result::Result<Result<Specialized>, String> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let mut m = module.clone();
+        let machine = Woolcano::with_telemetry(512, config.telemetry.clone());
+        specialize(
+            &mut m,
+            profile,
+            &machine,
+            &ctx.estimator,
+            &ctx.db,
+            &ctx.netlists,
+            cache,
+            config,
+        )
+        .map(|report| (m, machine, report))
+    }))
+    .map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "unknown panic".into()
+        }
+    })
 }
 
-/// Records a worker-level injector firing (counter + journal event).
-fn injected_worker_fault(tel: &Telemetry, inj: &FaultInjector, site: FaultSite) -> bool {
-    let Some(kind) = inj.decide(site) else {
-        return false;
-    };
-    tel.add(names::FAULTS_INJECTED, 1);
-    tel.event(
-        "fault.injected",
-        &[
-            ("site", TelValue::Str(site.name().into())),
-            ("kind", TelValue::Str(kind.name().into())),
-        ],
-    );
-    true
+/// Warm restart: hydrates the bitstream cache and the quarantine from the
+/// store's recovered state before any specialization work, and returns
+/// that state. The recovered entries then count as ordinary cache hits, so
+/// a session after a restart pays zero regeneration overhead (§VI-A's
+/// break-even improves exactly as if the process had never died). Because
+/// evictions are journaled, the recovered state is the *post-eviction*
+/// cache: a restart does not resurrect CIs a session already retired.
+/// `event` names the journal event of the driver that restarted.
+pub fn hydrate(
+    store: &Store,
+    cache: &BitstreamCache,
+    quarantine: &Quarantine,
+    tel: &Telemetry,
+    event: &'static str,
+) -> StoreState {
+    let state = store.state();
+    if !state.is_empty() {
+        let absorbed = cache.absorb_store(&state);
+        let mut quarantined = 0u64;
+        for (sig, reason) in &state.quarantine {
+            quarantined += quarantine.insert(*sig, reason) as u64;
+        }
+        tel.add(names::STORE_WARM_RESTARTS, 1);
+        tel.event(
+            event,
+            &[
+                ("entries_absorbed", TelValue::U64(absorbed as u64)),
+                ("quarantine_absorbed", TelValue::U64(quarantined)),
+            ],
+        );
+    }
+    state
+}
+
+/// The worker-fault gate every specialization passes first: an injected
+/// worker death, then an injected stall, drawn on the worker scope of the
+/// session's entry point, so the decisions are deterministic per (plan
+/// seed, workload, epoch, tenant). Returns the degradation a firing fault
+/// causes.
+pub fn worker_fault(
+    faults: &FaultInjector,
+    entry: &str,
+    tel: &Telemetry,
+) -> Option<DegradedReason> {
+    let mut h = SigHasher::new();
+    h.write_str("runtime.worker");
+    h.write_str(entry);
+    let inj = faults.scope(h.finish(), 1);
+    for (site, reason) in [
+        (FaultSite::WorkerDeath, DegradedReason::WorkerDisconnected),
+        (FaultSite::WorkerStall, DegradedReason::WorkerStalled),
+    ] {
+        if let Some(kind) = inj.decide(site) {
+            note_fault(tel, site, kind);
+            return Some(reason);
+        }
+    }
+    None
+}
+
+/// Evicts `signature` from the bitstream cache and journals a
+/// [`Record::Evict`] tombstone, so a crash-restart rehydrates the
+/// post-eviction cache. Returns false when the entry was not cached.
+pub fn evict(
+    cache: &BitstreamCache,
+    store: Option<&Store>,
+    tel: &Telemetry,
+    signature: u64,
+) -> bool {
+    let evicted = cache.remove(signature);
+    if evicted {
+        journal(store, tel, |_| Record::Evict { signature });
+    }
+    evicted
 }
 
 /// Runs `total_runs` executions of `entry(args)`, specializing in the
@@ -268,25 +376,34 @@ fn tiered_vm<'m>(
     vm
 }
 
-/// Per-session workload execution state: the run/swap/cycle accounting
-/// from [`run_adaptive_with`]'s main loop, factored into a struct so a
-/// multi-session runtime (`jitise-serve`, DESIGN.md §16) can interleave
-/// many tenants' workload runs while each tenant keeps exactly the
-/// accounting a dedicated [`run_adaptive_with`] session would produce.
+/// Average cycles per run before the first swap and after it, and the
+/// observed speedup (before / after). With no post-swap runs the after
+/// average is the before one (speedup 1.0).
+fn averages(run_cycles: &[u64], runs_before: usize) -> (u64, u64, f64) {
+    let (before, after) = run_cycles.split_at(runs_before);
+    let avg = |c: &[u64]| c.iter().sum::<u64>() / c.len().max(1) as u64;
+    let before = avg(before);
+    let after = if after.is_empty() { before } else { avg(after) };
+    (before, after, before as f64 / after.max(1) as f64)
+}
+
+/// Per-session workload execution: runs the current binary and keeps the
+/// per-run cycle and result accounting. The session core drives one, and
+/// a multi-session runtime (`jitise-serve`, DESIGN.md §16) drives one per
+/// tenant, so each tenant keeps exactly the accounting a dedicated
+/// [`run_adaptive_with`] session would produce.
 ///
-/// The profiling run charges the *profiled* cycle total (the VM's cycle
-/// field is zero when profiling) and every later run charges the run's
-/// own cycle count, matching the single-session runtime bit for bit.
-/// On the fast tier the base and specialized modules are each
-/// pre-decoded once and memoized for the life of the session.
+/// The profiling run charges the *profiled* cycle total and every later
+/// run charges the run's own cycle count. A session never swaps back to
+/// the base module, so its base-module runs are the leading ones. On the
+/// fast tier the base module is pre-decoded once for the session and each
+/// installed binary once per install.
 pub struct WorkloadSession {
     tier: VmTier,
     base_pd: Option<Arc<PredecodedModule>>,
     spec_pd: Option<Arc<PredecodedModule>>,
-    runs_before: u32,
-    runs_after: u32,
-    cycles_before: u64,
-    cycles_after: u64,
+    runs_before: usize,
+    run_cycles: Vec<u64>,
     results: Vec<Option<Value>>,
 }
 
@@ -298,16 +415,13 @@ impl WorkloadSession {
             base_pd: None,
             spec_pd: None,
             runs_before: 0,
-            runs_after: 0,
-            cycles_before: 0,
-            cycles_after: 0,
+            run_cycles: Vec::new(),
             results: Vec::new(),
         }
     }
 
     /// The profiling run: executes `entry(args)` on the unmodified
-    /// module, charges the profiled cycle total to the pre-swap bucket,
-    /// and returns the [`Profile`] that seeds specialization.
+    /// module and returns the [`Profile`] that seeds specialization.
     pub fn profile_run(
         &mut self,
         module: &Module,
@@ -315,86 +429,41 @@ impl WorkloadSession {
         args: &[Value],
         tel: &Telemetry,
     ) -> Result<Profile> {
-        let mut vm = tiered_vm(module, self.tier, &mut self.base_pd);
-        vm.set_telemetry(tel.clone());
-        let out = vm.run(entry, args)?;
-        let profile: Profile = vm.take_profile();
-        self.cycles_before += profile.total_cycles();
-        self.runs_before += 1;
-        self.results.push(out.ret);
+        let profile = self.run(module, None, entry, args, tel)?;
+        *self.run_cycles.last_mut().expect("one run") = profile.total_cycles();
         Ok(profile)
     }
 
-    /// A pre-swap (or degraded software-only) run of the base module.
-    pub fn software_run(
+    /// One run of `entry(args)` on the current binary: the specialized
+    /// module on its loaded machine once `adapted`, else the base module.
+    /// Returns the run's profile.
+    pub fn run(
         &mut self,
-        module: &Module,
+        base: &Module,
+        adapted: Option<&(Module, Woolcano)>,
         entry: &str,
         args: &[Value],
         tel: &Telemetry,
-    ) -> Result<()> {
-        let mut vm = tiered_vm(module, self.tier, &mut self.base_pd);
+    ) -> Result<Profile> {
+        let mut vm = match adapted {
+            Some((m, machine)) => {
+                let mut vm = tiered_vm(m, self.tier, &mut self.spec_pd);
+                vm.set_custom_handler(machine);
+                vm
+            }
+            None => tiered_vm(base, self.tier, &mut self.base_pd),
+        };
         vm.set_telemetry(tel.clone());
         let out = vm.run(entry, args)?;
-        self.cycles_before += out.cycles;
-        self.runs_before += 1;
+        self.runs_before += adapted.is_none() as usize;
+        self.run_cycles.push(out.cycles);
         self.results.push(out.ret);
-        Ok(())
-    }
-
-    /// A post-swap run of the specialized module on the loaded machine.
-    pub fn adapted_run(
-        &mut self,
-        module: &Module,
-        machine: &Woolcano,
-        entry: &str,
-        args: &[Value],
-        tel: &Telemetry,
-    ) -> Result<()> {
-        let mut vm = tiered_vm(module, self.tier, &mut self.spec_pd);
-        vm.set_custom_handler(machine);
-        vm.set_telemetry(tel.clone());
-        let out = vm.run(entry, args)?;
-        self.cycles_after += out.cycles;
-        self.runs_after += 1;
-        self.results.push(out.ret);
-        Ok(())
-    }
-
-    /// Runs executed before the swap (profiling run included).
-    pub fn runs_before(&self) -> u32 {
-        self.runs_before
-    }
-
-    /// Runs executed after the swap.
-    pub fn runs_after(&self) -> u32 {
-        self.runs_after
-    }
-
-    /// Return value of every run so far, in execution order.
-    pub fn results(&self) -> &[Option<Value>] {
-        &self.results
-    }
-
-    /// Average cycles per pre-swap run.
-    pub fn avg_before(&self) -> u64 {
-        self.cycles_before / self.runs_before.max(1) as u64
-    }
-
-    /// Average cycles per post-swap run; with no post-swap runs this is
-    /// the pre-swap average (speedup 1.0), matching the degraded path
-    /// of [`run_adaptive_with`].
-    pub fn avg_after(&self) -> u64 {
-        if self.runs_after > 0 {
-            self.cycles_after / self.runs_after as u64
-        } else {
-            self.avg_before()
-        }
+        Ok(vm.take_profile())
     }
 
     /// Observed speedup: pre-swap average over post-swap average.
     pub fn observed_speedup(&self) -> f64 {
-        self.avg_before() as f64 / self.avg_after().max(1) as f64
+        averages(&self.run_cycles, self.runs_before).2
     }
 
     /// Consumes the session, yielding the per-run return values.
@@ -421,187 +490,32 @@ pub fn run_adaptive_with(
     ready_after_runs: u32,
     options: &AdaptiveOptions,
 ) -> Result<AdaptiveOutcome> {
-    assert!(total_runs >= 2, "need at least profiling + one more run");
-
     let mut root = ctx.telemetry.span("runtime.adaptive");
     let tel = ctx.telemetry.under(&root);
-
-    // Warm restart: hydrate the bitstream cache and the quarantine from
-    // the store's recovered state before any specialization work. The
-    // recovered entries then count as ordinary cache hits, so a second
-    // session after a restart pays zero regeneration overhead (§VI-A's
-    // break-even improves exactly as if the process had never died).
-    if let Some(store) = &options.store {
-        let state = store.state();
-        if !state.is_empty() {
-            let absorbed = cache.absorb_store(&state);
-            let mut quarantined = 0u64;
-            for (sig, reason) in &state.quarantine {
-                if options.quarantine.insert(*sig, reason) {
-                    quarantined += 1;
-                }
-            }
-            tel.add(names::STORE_WARM_RESTARTS, 1);
-            tel.event(
-                "runtime.warm_restart",
-                &[
-                    ("entries_absorbed", TelValue::U64(absorbed as u64)),
-                    ("quarantine_absorbed", TelValue::U64(quarantined)),
-                ],
-            );
-        }
-    }
-
-    // Per-session workload state: fast-tier pre-decode memos plus run
-    // and cycle accounting. Profiling run first.
-    let mut ws = WorkloadSession::new(ctx.vm_tier);
-    let profile = ws.profile_run(module, entry, args, &tel)?;
-
-    // Worker-level faults are keyed by the session entry point so stall
-    // and death decisions are deterministic per (plan seed, workload).
-    let worker_key = {
-        let mut h = SigHasher::new();
-        h.write_str("runtime.worker");
-        h.write_str(entry);
-        h.finish()
+    let schedule = [PhaseSegment::new(args.to_vec(), total_runs)];
+    let (mut out, runs_before) = run_session(
+        ctx,
+        cache,
+        module,
+        entry,
+        &schedule,
+        ready_after_runs,
+        options,
+        None,
+        &tel,
+    )?;
+    let (cycles_before, cycles_after, observed_speedup) = averages(&out.run_cycles, runs_before);
+    let outcome = AdaptiveOutcome {
+        runs_before: runs_before as u32,
+        runs_after: (out.run_cycles.len() - runs_before) as u32,
+        cycles_before,
+        cycles_after,
+        observed_speedup,
+        overhead: out.overhead,
+        report: out.reports.pop(),
+        degraded: out.degraded,
+        results: out.results,
     };
-    let winj = options.faults.scope(worker_key, 1);
-    let cancel = Arc::new(AtomicBool::new(false));
-
-    let (tx, rx) = sync_channel::<Result<(Module, Woolcano, SpecializeReport)>>(1);
-
-    let outcome = std::thread::scope(|scope| -> Result<AdaptiveOutcome> {
-        // Whatever happens below — success, error propagation, even a
-        // panicking test assertion — the guard releases a stalled worker
-        // so the scope can join it.
-        let _release_worker = CancelGuard(Arc::clone(&cancel));
-
-        // Background specialization worker. Its spans stitch under this
-        // session's root span even though they run on another thread.
-        let worker_module = module.clone();
-        let worker_profile = profile;
-        let worker_tel = tel.clone();
-        let worker_cancel = Arc::clone(&cancel);
-        let worker_inj = winj.clone();
-        let worker_faults = options.faults.clone();
-        let worker_retry = options.retry;
-        let worker_lanes = options.cad_workers;
-        let worker_search_lanes = options.search_workers;
-        let worker_search_memo = options.search_memo.clone();
-        let worker_quarantine = Arc::clone(&options.quarantine);
-        let worker_store = options.store.clone();
-        let worker_overlay = options.overlay.clone();
-        let watchdog = options.watchdog;
-        scope.spawn(move || {
-            let wspan = worker_tel.span("runtime.worker");
-            let wtel = worker_tel.under(&wspan);
-            // An injected death: the worker exits without ever reporting,
-            // which the main loop sees as a disconnected channel.
-            if injected_worker_fault(&wtel, &worker_inj, FaultSite::WorkerDeath) {
-                return;
-            }
-            // An injected stall: the worker hangs (a wedged CAD tool)
-            // until the main loop abandons it and flips the cancel flag.
-            // The hard cap keeps a lost flag from hanging the scope.
-            if injected_worker_fault(&wtel, &worker_inj, FaultSite::WorkerStall) {
-                let cap = watchdog.saturating_mul(20).max(Duration::from_millis(100));
-                let start = std::time::Instant::now();
-                while !worker_cancel.load(Ordering::Relaxed) && start.elapsed() < cap {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                return;
-            }
-            // A panic anywhere in the pipeline must not tear down the
-            // process: convert it into an error the main loop can handle.
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let mut m = worker_module;
-                let machine = Woolcano::with_telemetry(512, wtel.clone());
-                specialize(
-                    &mut m,
-                    &worker_profile,
-                    &machine,
-                    &ctx.estimator,
-                    &ctx.db,
-                    &ctx.netlists,
-                    cache,
-                    &SpecializeConfig {
-                        search: SearchConfig {
-                            workers: worker_search_lanes,
-                            memo: worker_search_memo,
-                            ..SearchConfig::default()
-                        },
-                        telemetry: wtel.clone(),
-                        faults: worker_faults,
-                        retry: worker_retry,
-                        quarantine: worker_quarantine,
-                        cad_workers: worker_lanes,
-                        store: worker_store,
-                        overlay: worker_overlay,
-                        ..SpecializeConfig::default()
-                    },
-                )
-                .map(|report| (m, machine, report))
-            }));
-            let message = match result {
-                Ok(r) => r,
-                Err(payload) => Err(Error::Arch(format!(
-                    "worker panicked: {}",
-                    panic_message(payload.as_ref())
-                ))),
-            };
-            drop(wspan);
-            let _ = tx.send(message);
-        });
-
-        // Main loop: keep running the workload; swap when the worker is
-        // done and the latency gate has passed. A degraded session stops
-        // waiting and keeps executing the unmodified binary.
-        let mut specialized: Option<(Module, Woolcano, SpecializeReport)> = None;
-        let mut degraded: Option<DegradedReason> = None;
-
-        for run in 1..total_runs {
-            if specialized.is_none() && degraded.is_none() && run >= ready_after_runs {
-                // Block for the worker the first time we are allowed to
-                // swap; afterwards the specialized binary is in place.
-                match wait_for_worker(&rx, options.watchdog) {
-                    Ok(t) => {
-                        specialized = Some(t);
-                        tel.event("runtime.swap", &[("run", TelValue::U64(run as u64))]);
-                    }
-                    Err(reason) => degraded = Some(note_degraded(&tel, reason)),
-                }
-            }
-            match &specialized {
-                Some((m, machine, _)) => ws.adapted_run(m, machine, entry, args, &tel)?,
-                None => ws.software_run(module, entry, args, &tel)?,
-            }
-        }
-        // If the gate never opened (all runs before readiness), collect
-        // the report now — unless the session already degraded.
-        let report = match specialized {
-            Some((_, _, report)) => Some(report),
-            None if degraded.is_none() => match wait_for_worker(&rx, options.watchdog) {
-                Ok((_, _, report)) => Some(report),
-                Err(reason) => {
-                    degraded = Some(note_degraded(&tel, reason));
-                    None
-                }
-            },
-            None => None,
-        };
-
-        Ok(AdaptiveOutcome {
-            runs_before: ws.runs_before(),
-            runs_after: ws.runs_after(),
-            cycles_before: ws.avg_before(),
-            cycles_after: ws.avg_after(),
-            observed_speedup: ws.observed_speedup(),
-            overhead: report.as_ref().map(|r| r.makespan).unwrap_or(SimTime::ZERO),
-            report,
-            degraded,
-            results: ws.into_results(),
-        })
-    })?;
 
     root.field("runs_before", TelValue::U64(outcome.runs_before as u64));
     root.field("runs_after", TelValue::U64(outcome.runs_after as u64));
@@ -683,9 +597,6 @@ pub struct StormOptions {
     /// Latency gate for the *initial* background specialization, in
     /// workload runs (as in [`run_adaptive`]).
     pub ready_after_runs: u32,
-    /// ICAP slot capacity of each Woolcano machine instantiated by the
-    /// session.
-    pub slots: usize,
 }
 
 impl Default for StormOptions {
@@ -694,12 +605,12 @@ impl Default for StormOptions {
             base: AdaptiveOptions::default(),
             policy: PhasePolicy::default(),
             ready_after_runs: 2,
-            slots: 512,
         }
     }
 }
 
 /// Outcome of a storm session ([`run_storm`]).
+#[derive(Default)]
 pub struct StormOutcome {
     /// Return value of every workload run, in order. Degraded, evicted,
     /// re-specialized or not: these must match a software-only session.
@@ -760,6 +671,15 @@ impl StormOutcome {
     }
 }
 
+impl StormOutcome {
+    /// Records a degraded transition: counted, noted, and kept as the most
+    /// recent reason.
+    fn degrade(&mut self, tel: &Telemetry, reason: DegradedReason) {
+        self.degraded_events += 1;
+        self.degraded = Some(note_degraded(tel, reason));
+    }
+}
+
 /// Runs a phased workload schedule under the full storm machinery:
 /// background initial specialization (as [`run_adaptive_with`]), a
 /// windowed-hotness phase detector, benefit-scored eviction of cold CIs
@@ -781,414 +701,19 @@ pub fn run_storm(
     options: &StormOptions,
 ) -> Result<StormOutcome> {
     assert!(!schedule.is_empty(), "storm schedule must not be empty");
-    let total_runs: u32 = schedule.iter().map(|s| s.runs).sum();
-    assert!(total_runs >= 2, "need at least profiling + one more run");
-
-    // Segment index of every run, precomputed so the loop body is a
-    // plain indexed lookup.
-    let mut seg_of: Vec<usize> = Vec::with_capacity(total_runs as usize);
-    for (i, seg) in schedule.iter().enumerate() {
-        for _ in 0..seg.runs {
-            seg_of.push(i);
-        }
-    }
-
     let mut root = ctx.telemetry.span("runtime.storm");
     let tel = ctx.telemetry.under(&root);
-
-    // Warm restart: exactly as in [`run_adaptive_with`]. Because evictions
-    // are journaled, the recovered state is the *post-eviction* cache — a
-    // restart mid-storm does not resurrect CIs the session already retired.
-    if let Some(store) = &options.base.store {
-        let state = store.state();
-        if !state.is_empty() {
-            let absorbed = cache.absorb_store(&state);
-            let mut quarantined = 0u64;
-            for (sig, reason) in &state.quarantine {
-                if options.base.quarantine.insert(*sig, reason) {
-                    quarantined += 1;
-                }
-            }
-            tel.add(names::STORE_WARM_RESTARTS, 1);
-            tel.event(
-                "runtime.warm_restart",
-                &[
-                    ("entries_absorbed", TelValue::U64(absorbed as u64)),
-                    ("quarantine_absorbed", TelValue::U64(quarantined)),
-                ],
-            );
-        }
-    }
-
-    // Pre-decoded forms (fast tier only): the base module is decoded once
-    // for the whole storm; each installed binary is decoded at its swap
-    // and the decode is dropped when a re-specialization replaces it.
-    let tier = ctx.vm_tier;
-    let mut base_pd: Option<Arc<PredecodedModule>> = None;
-    let mut spec_pd: Option<Arc<PredecodedModule>> = None;
-
-    // Profiling run (first segment's arguments).
-    let mut vm = tiered_vm(module, tier, &mut base_pd);
-    vm.set_telemetry(tel.clone());
-    let first = vm.run(entry, &schedule[seg_of[0]].args)?;
-    let profile: Profile = vm.take_profile();
-    let first_cycles = profile.total_cycles();
-
-    let worker_key = {
-        let mut h = SigHasher::new();
-        h.write_str("runtime.worker");
-        h.write_str(entry);
-        h.finish()
-    };
-    let winj = options.base.faults.scope(worker_key, 1);
-    let cancel = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = sync_channel::<Result<(Module, Woolcano, SpecializeReport)>>(1);
-
-    let outcome = std::thread::scope(|scope| -> Result<StormOutcome> {
-        let _release_worker = CancelGuard(Arc::clone(&cancel));
-
-        // Initial background specialization — the same worker machinery
-        // as [`run_adaptive_with`], seeded from the profiling run.
-        let worker_module = module.clone();
-        let worker_profile = profile.clone();
-        let worker_tel = tel.clone();
-        let worker_cancel = Arc::clone(&cancel);
-        let worker_inj = winj.clone();
-        let worker_faults = options.base.faults.clone();
-        let worker_retry = options.base.retry;
-        let worker_lanes = options.base.cad_workers;
-        let worker_search_lanes = options.base.search_workers;
-        let worker_search_memo = options.base.search_memo.clone();
-        let worker_quarantine = Arc::clone(&options.base.quarantine);
-        let worker_store = options.base.store.clone();
-        let worker_overlay = options.base.overlay.clone();
-        let worker_slots = options.slots;
-        let watchdog = options.base.watchdog;
-        scope.spawn(move || {
-            let wspan = worker_tel.span("runtime.worker");
-            let wtel = worker_tel.under(&wspan);
-            if injected_worker_fault(&wtel, &worker_inj, FaultSite::WorkerDeath) {
-                return;
-            }
-            if injected_worker_fault(&wtel, &worker_inj, FaultSite::WorkerStall) {
-                let cap = watchdog.saturating_mul(20).max(Duration::from_millis(100));
-                let start = std::time::Instant::now();
-                while !worker_cancel.load(Ordering::Relaxed) && start.elapsed() < cap {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                return;
-            }
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let mut m = worker_module;
-                let machine = Woolcano::with_telemetry(worker_slots, wtel.clone());
-                specialize(
-                    &mut m,
-                    &worker_profile,
-                    &machine,
-                    &ctx.estimator,
-                    &ctx.db,
-                    &ctx.netlists,
-                    cache,
-                    &SpecializeConfig {
-                        search: SearchConfig {
-                            workers: worker_search_lanes,
-                            memo: worker_search_memo,
-                            ..SearchConfig::default()
-                        },
-                        telemetry: wtel.clone(),
-                        faults: worker_faults,
-                        retry: worker_retry,
-                        quarantine: worker_quarantine,
-                        cad_workers: worker_lanes,
-                        store: worker_store,
-                        overlay: worker_overlay,
-                        ..SpecializeConfig::default()
-                    },
-                )
-                .map(|report| (m, machine, report))
-            }));
-            let message = match result {
-                Ok(r) => r,
-                Err(payload) => Err(Error::Arch(format!(
-                    "worker panicked: {}",
-                    panic_message(payload.as_ref())
-                ))),
-            };
-            drop(wspan);
-            let _ = tx.send(message);
-        });
-
-        // Main loop state.
-        let mut specialized: Option<(Module, Woolcano)> = None;
-        let mut current_report: Option<SpecializeReport> = None;
-        // (signature, block, saved_per_exec) of every installed CI — the
-        // set the detector and the eviction scorer watch.
-        let mut installed: Vec<(u64, BlockKey, u64)> = Vec::new();
-        let mut window = HotnessWindow::new(options.policy.window);
-        window.push(profile);
-        let mut reports: Vec<SpecializeReport> = Vec::new();
-        let mut results: Vec<Option<Value>> = Vec::with_capacity(total_runs as usize);
-        results.push(first.ret);
-        let mut run_cycles: Vec<u64> = Vec::with_capacity(total_runs as usize);
-        run_cycles.push(first_cycles);
-        let mut degraded: Option<DegradedReason> = None;
-        let mut worker_collected = false;
-        let mut overhead = SimTime::ZERO;
-        let mut phases_detected = 0u32;
-        let mut evictions = 0u64;
-        let mut respecs = 0u32;
-        let mut respecs_denied = 0u32;
-        let mut respec_attempts = 0u32;
-        let mut degraded_events = 0u32;
-        let mut swaps = 0u32;
-        let mut cold_streak = 0u32;
-        let mut cooldown_until = 0u32;
-
-        for run in 1..total_runs {
-            let args = &schedule[seg_of[run as usize]].args;
-
-            // Initial install gate (one-shot, as in run_adaptive).
-            if !worker_collected && degraded.is_none() && run >= options.ready_after_runs {
-                worker_collected = true;
-                match wait_for_worker(&rx, options.base.watchdog) {
-                    Ok((m, machine, report)) => {
-                        installed = report
-                            .candidates
-                            .iter()
-                            .map(|c| (c.signature, c.key, c.saved_per_exec))
-                            .collect();
-                        overhead += report.makespan;
-                        current_report = Some(report);
-                        spec_pd = None;
-                        specialized = Some((m, machine));
-                        swaps += 1;
-                        window.clear();
-                        cold_streak = 0;
-                        cooldown_until = run + options.policy.cooldown;
-                        tel.event("runtime.swap", &[("run", TelValue::U64(run as u64))]);
-                    }
-                    Err(reason) => {
-                        degraded_events += 1;
-                        degraded = Some(note_degraded(&tel, reason));
-                    }
-                }
-            }
-
-            // Execute the run on whatever binary is current.
-            let (ret, cycles, run_profile) = match &specialized {
-                Some((m, machine)) => {
-                    let mut vm = tiered_vm(m, tier, &mut spec_pd);
-                    vm.set_custom_handler(machine);
-                    vm.set_telemetry(tel.clone());
-                    let out = vm.run(entry, args)?;
-                    let p = vm.take_profile();
-                    (out.ret, out.cycles, p)
-                }
-                None => {
-                    let mut vm = tiered_vm(module, tier, &mut base_pd);
-                    vm.set_telemetry(tel.clone());
-                    let out = vm.run(entry, args)?;
-                    let p = vm.take_profile();
-                    (out.ret, out.cycles, p)
-                }
-            };
-            results.push(ret);
-            run_cycles.push(cycles);
-            window.push(run_profile);
-
-            // Phase detector: only with something installed, a full
-            // window, and past the post-swap cooldown.
-            if specialized.is_none() || run < cooldown_until || !window.is_full() {
-                continue;
-            }
-            let keys: Vec<BlockKey> = installed.iter().map(|&(_, k, _)| k).collect();
-            let share = window.cycles_share(&keys);
-            if share < options.policy.cold_share {
-                cold_streak += 1;
-            } else {
-                cold_streak = 0;
-            }
-            if cold_streak < options.policy.hysteresis {
-                continue;
-            }
-
-            // Phase change declared.
-            cold_streak = 0;
-            phases_detected += 1;
-            tel.add(names::RUNTIME_PHASE_DETECTED, 1);
-            tel.event(
-                "runtime.phase_change",
-                &[
-                    ("run", TelValue::U64(run as u64)),
-                    ("share_permille", TelValue::U64((share * 1000.0) as u64)),
-                ],
-            );
-
-            // Benefit-scored eviction: a CI whose windowed benefit
-            // (executions × saved cycles per execution) is zero has
-            // stopped earning its cache slot. Journal each eviction so a
-            // crash-restart rehydrates the post-eviction cache.
-            for &(sig, key, saved) in &installed {
-                let benefit = window.count_of(key) * saved;
-                if benefit == 0 && cache.remove(sig) {
-                    evictions += 1;
-                    tel.add(names::RUNTIME_EVICTIONS, 1);
-                    tel.event("runtime.evict", &[("signature", TelValue::U64(sig))]);
-                    if let Some(store) = &options.base.store {
-                        // A dead store must not kill the session; the
-                        // append failure is already counted by the store.
-                        let _span = tel.span("store.append");
-                        let _ = store.append(Record::Evict { signature: sig });
-                    }
-                }
-            }
-
-            // Bounded re-specialization.
-            if respec_attempts >= options.policy.max_respecs {
-                respecs_denied += 1;
-                tel.event(
-                    "runtime.respec_denied",
-                    &[("run", TelValue::U64(run as u64))],
-                );
-                cooldown_until = run + options.policy.cooldown;
-                continue;
-            }
-            respec_attempts += 1;
-            // Worker faults apply to respecs too, epoch-keyed by run so
-            // burst plans can concentrate them into storm windows. A
-            // firing degrades this respec (the old binary stays — cold
-            // but correct) without blocking a later retry.
-            let rinj = options
-                .base
-                .faults
-                .scope(worker_key, 1)
-                .at_epoch(run as u64);
-            if injected_worker_fault(&tel, &rinj, FaultSite::WorkerDeath) {
-                degraded_events += 1;
-                degraded = Some(note_degraded(&tel, DegradedReason::WorkerDisconnected));
-                cooldown_until = run + options.policy.cooldown;
-                continue;
-            }
-            if injected_worker_fault(&tel, &rinj, FaultSite::WorkerStall) {
-                degraded_events += 1;
-                degraded = Some(note_degraded(&tel, DegradedReason::WorkerStalled));
-                cooldown_until = run + options.policy.cooldown;
-                continue;
-            }
-            // Synchronous re-specialization from the window's aggregate —
-            // the workload's *current* behavior, not its history. Runs on
-            // the main thread for determinism; its simulated makespan is
-            // the price, accounted in `overhead`.
-            let rspan = tel.span("runtime.respec");
-            let rtel = tel.under(&rspan);
-            let mut m2 = module.clone();
-            let machine2 = Woolcano::with_telemetry(options.slots, rtel.clone());
-            let agg = window.aggregate();
-            let spec = catch_unwind(AssertUnwindSafe(|| {
-                specialize(
-                    &mut m2,
-                    &agg,
-                    &machine2,
-                    &ctx.estimator,
-                    &ctx.db,
-                    &ctx.netlists,
-                    cache,
-                    &SpecializeConfig {
-                        search: SearchConfig {
-                            workers: options.base.search_workers,
-                            memo: options.base.search_memo.clone(),
-                            ..SearchConfig::default()
-                        },
-                        telemetry: rtel.clone(),
-                        faults: options.base.faults.at_epoch(run as u64),
-                        retry: options.base.retry,
-                        quarantine: Arc::clone(&options.base.quarantine),
-                        cad_workers: options.base.cad_workers,
-                        store: options.base.store.clone(),
-                        overlay: options.base.overlay.clone(),
-                        ..SpecializeConfig::default()
-                    },
-                )
-            }));
-            drop(rspan);
-            match spec {
-                Ok(Ok(report)) => {
-                    // Retire the old machine: every occupied slot is an
-                    // ICAP-level eviction.
-                    if let Some((_, old_machine)) = &specialized {
-                        let (_, _, occupied, _) = old_machine.slot_stats();
-                        tel.add(names::ICAP_EVICTIONS, occupied as u64);
-                    }
-                    installed = report
-                        .candidates
-                        .iter()
-                        .map(|c| (c.signature, c.key, c.saved_per_exec))
-                        .collect();
-                    overhead += report.makespan;
-                    if let Some(prev) = current_report.replace(report) {
-                        reports.push(prev);
-                    }
-                    spec_pd = None;
-                    specialized = Some((m2, machine2));
-                    respecs += 1;
-                    swaps += 1;
-                    tel.add(names::RUNTIME_RESPECS, 1);
-                    tel.event("runtime.respec", &[("run", TelValue::U64(run as u64))]);
-                    window.clear();
-                }
-                Ok(Err(e)) => {
-                    degraded_events += 1;
-                    degraded = Some(note_degraded(
-                        &tel,
-                        DegradedReason::SpecializeFailed(e.to_string()),
-                    ));
-                }
-                Err(payload) => {
-                    degraded_events += 1;
-                    degraded = Some(note_degraded(
-                        &tel,
-                        DegradedReason::SpecializeFailed(format!(
-                            "respec panicked: {}",
-                            panic_message(payload.as_ref())
-                        )),
-                    ));
-                }
-            }
-            cold_streak = 0;
-            cooldown_until = run + options.policy.cooldown;
-        }
-
-        // Collect the initial worker if the gate never opened.
-        if !worker_collected && degraded.is_none() {
-            match wait_for_worker(&rx, options.base.watchdog) {
-                Ok((_, _, report)) => {
-                    overhead += report.makespan;
-                    reports.push(report);
-                }
-                Err(reason) => {
-                    degraded_events += 1;
-                    degraded = Some(note_degraded(&tel, reason));
-                }
-            }
-        }
-        if let Some(r) = current_report.take() {
-            reports.push(r);
-        }
-
-        Ok(StormOutcome {
-            results,
-            run_cycles,
-            phases_detected,
-            evictions,
-            respecs,
-            respecs_denied,
-            swaps,
-            degraded_events,
-            degraded,
-            reports,
-            overhead,
-        })
-    })?;
+    let (outcome, _) = run_session(
+        ctx,
+        cache,
+        module,
+        entry,
+        schedule,
+        options.ready_after_runs,
+        &options.base,
+        Some(&options.policy),
+        &tel,
+    )?;
 
     root.field("phases", TelValue::U64(outcome.phases_detected as u64));
     root.field("evictions", TelValue::U64(outcome.evictions));
@@ -1200,6 +725,295 @@ pub fn run_storm(
     root.set_sim_time(outcome.overhead);
     drop(root);
     Ok(outcome)
+}
+
+/// The one session core behind [`run_adaptive_with`] and [`run_storm`]:
+/// the profiling run, the background worker, the initial-install gate and
+/// the run loop, plus — when a [`PhasePolicy`] is given — the phase
+/// detector, benefit-scored eviction and bounded re-specialization.
+struct Session<'a> {
+    ctx: &'a EvalContext,
+    cache: &'a BitstreamCache,
+    module: &'a Module,
+    entry: &'a str,
+    options: &'a AdaptiveOptions,
+    /// The phase-detector policy; `None` switches the detector off.
+    policy: Option<&'a PhasePolicy>,
+    tel: &'a Telemetry,
+    ws: WorkloadSession,
+    /// The installed binary on its loaded machine; `None` until the first
+    /// swap, and for the whole of a session whose install degraded.
+    specialized: Option<(Module, Woolcano)>,
+    /// (signature, block, saved_per_exec) of every installed CI — the set
+    /// the detector and the eviction scorer watch.
+    installed: Vec<(u64, BlockKey, u64)>,
+    window: HotnessWindow,
+    cold_streak: u32,
+    cooldown_until: u32,
+    respec_attempts: u32,
+    /// The tallies; `results` and `run_cycles` are filled in at the end.
+    out: StormOutcome,
+}
+
+/// Runs `schedule` through the session core. Returns the outcome and the
+/// number of runs that executed on the base module.
+#[allow(clippy::too_many_arguments)]
+fn run_session<'a>(
+    ctx: &'a EvalContext,
+    cache: &'a BitstreamCache,
+    module: &'a Module,
+    entry: &'a str,
+    schedule: &[PhaseSegment],
+    ready_after_runs: u32,
+    options: &'a AdaptiveOptions,
+    policy: Option<&'a PhasePolicy>,
+    tel: &'a Telemetry,
+) -> Result<(StormOutcome, usize)> {
+    let total_runs: u32 = schedule.iter().map(|s| s.runs).sum();
+    assert!(total_runs >= 2, "need at least profiling + one more run");
+    let mut run_args = schedule
+        .iter()
+        .flat_map(|s| std::iter::repeat_n(&s.args, s.runs as usize));
+    if let Some(store) = &options.store {
+        hydrate(
+            store,
+            cache,
+            &options.quarantine,
+            tel,
+            "runtime.warm_restart",
+        );
+    }
+    let mut session = Session {
+        ctx,
+        cache,
+        module,
+        entry,
+        options,
+        policy,
+        tel,
+        ws: WorkloadSession::new(ctx.vm_tier),
+        specialized: None,
+        installed: Vec::new(),
+        window: HotnessWindow::new(policy.map_or(1, |p| p.window)),
+        cold_streak: 0,
+        cooldown_until: 0,
+        respec_attempts: 0,
+        out: StormOutcome::default(),
+    };
+    let profile = session
+        .ws
+        .profile_run(module, entry, run_args.next().expect("two runs"), tel)?;
+    session.window.push(profile.clone());
+
+    let cancel = Arc::new(AtomicBool::new(false));
+    let (tx, rx) = sync_channel::<Result<Specialized>>(1);
+    std::thread::scope(|scope| -> Result<()> {
+        // Whatever happens below — success, error propagation, even a
+        // panicking test assertion — the guard releases a stalled worker
+        // so the scope can join it.
+        let _release_worker = CancelGuard(Arc::clone(&cancel));
+
+        // Background specialization worker. Its spans stitch under the
+        // session's root span even though they run on another thread.
+        let worker_cancel = Arc::clone(&cancel);
+        scope.spawn(move || {
+            let wspan = tel.span("runtime.worker");
+            let wtel = tel.under(&wspan);
+            let message = match worker_fault(&options.faults, entry, &wtel) {
+                // An injected death: the worker exits without ever
+                // reporting, which the main loop sees as a disconnected
+                // channel.
+                Some(DegradedReason::WorkerDisconnected) => return,
+                // An injected stall: the worker hangs (a wedged CAD
+                // tool) until the main loop abandons it and flips the
+                // cancel flag. The hard cap keeps a lost flag from
+                // hanging the scope.
+                Some(_) => {
+                    let cap = options
+                        .watchdog
+                        .saturating_mul(20)
+                        .max(Duration::from_millis(100));
+                    let start = std::time::Instant::now();
+                    while !worker_cancel.load(Ordering::Relaxed) && start.elapsed() < cap {
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    return;
+                }
+                None => {
+                    let config = options.specialize_config(wtel.clone(), options.faults.clone());
+                    specialize_copy(ctx, cache, module, &profile, &config)
+                        .unwrap_or_else(|p| Err(Error::Arch(format!("worker panicked: {p}"))))
+                }
+            };
+            drop(wspan);
+            let _ = tx.send(message);
+        });
+
+        // Main loop: keep running the workload; swap when the worker is
+        // done and the latency gate has passed. A degraded session stops
+        // waiting and keeps executing the unmodified binary.
+        let mut collected = false;
+        for (run, args) in (1..).zip(run_args) {
+            // The initial install gate (one-shot): block for the worker
+            // the first time a swap is allowed.
+            if !collected && run >= ready_after_runs {
+                collected = true;
+                match wait_for_worker(&rx, options.watchdog) {
+                    Ok(spec) => {
+                        session.install(run, spec);
+                        tel.event("runtime.swap", &[("run", TelValue::U64(run as u64))]);
+                    }
+                    Err(reason) => session.out.degrade(tel, reason),
+                }
+            }
+            let profile = session
+                .ws
+                .run(module, session.specialized.as_ref(), entry, args, tel)?;
+            session.window.push(profile);
+            if let Some(policy) = policy {
+                session.detect(run, policy);
+            }
+        }
+        // If the gate never opened (all runs before readiness), collect
+        // the report now.
+        if !collected {
+            match wait_for_worker(&rx, options.watchdog) {
+                Ok((_, _, report)) => {
+                    session.out.overhead += report.makespan;
+                    session.out.reports.push(report);
+                }
+                Err(reason) => session.out.degrade(tel, reason),
+            }
+        }
+        Ok(())
+    })?;
+
+    let WorkloadSession {
+        runs_before,
+        run_cycles,
+        results,
+        ..
+    } = session.ws;
+    session.out.results = results;
+    session.out.run_cycles = run_cycles;
+    Ok((session.out, runs_before))
+}
+
+impl Session<'_> {
+    /// Hot-swaps to a freshly specialized binary. The detector forgets the
+    /// old window and re-arms after the cooldown, watching the new CI set.
+    fn install(&mut self, run: u32, (module, machine, report): Specialized) {
+        self.installed = report
+            .candidates
+            .iter()
+            .map(|c| (c.signature, c.key, c.saved_per_exec))
+            .collect();
+        self.out.overhead += report.makespan;
+        self.out.reports.push(report);
+        self.out.swaps += 1;
+        // The decode of the replaced binary is dropped with it.
+        self.ws.spec_pd = None;
+        self.specialized = Some((module, machine));
+        self.window.clear();
+        self.cold_streak = 0;
+        self.cooldown_until = run + self.policy.map_or(0, |p| p.cooldown);
+    }
+
+    /// The phase detector after run `run`: it decides only with something
+    /// installed, a full window, and past the post-swap cooldown. All
+    /// thresholds are exact integer cycle counts, so decisions are
+    /// bit-identical for a fixed seed on any host and lane count.
+    fn detect(&mut self, run: u32, policy: &PhasePolicy) {
+        let tel = self.tel;
+        if self.specialized.is_none() || run < self.cooldown_until || !self.window.is_full() {
+            return;
+        }
+        let keys: Vec<BlockKey> = self.installed.iter().map(|&(_, k, _)| k).collect();
+        let share = self.window.cycles_share(&keys);
+        if share < policy.cold_share {
+            self.cold_streak += 1;
+        } else {
+            self.cold_streak = 0;
+        }
+        if self.cold_streak < policy.hysteresis {
+            return;
+        }
+
+        // Phase change declared.
+        self.cold_streak = 0;
+        self.cooldown_until = run + policy.cooldown;
+        self.out.phases_detected += 1;
+        tel.add(names::RUNTIME_PHASE_DETECTED, 1);
+        tel.event(
+            "runtime.phase_change",
+            &[
+                ("run", TelValue::U64(run as u64)),
+                ("share_permille", TelValue::U64((share * 1000.0) as u64)),
+            ],
+        );
+
+        // Benefit-scored eviction: a CI whose windowed benefit (executions
+        // × saved cycles per execution) is zero has stopped earning its
+        // cache slot.
+        for &(sig, key, saved) in &self.installed {
+            let benefit = self.window.count_of(key) * saved;
+            if benefit == 0 && evict(self.cache, self.options.store.as_deref(), tel, sig) {
+                self.out.evictions += 1;
+                tel.add(names::RUNTIME_EVICTIONS, 1);
+                tel.event("runtime.evict", &[("signature", TelValue::U64(sig))]);
+            }
+        }
+
+        // Bounded re-specialization.
+        if self.respec_attempts >= policy.max_respecs {
+            self.out.respecs_denied += 1;
+            tel.event(
+                "runtime.respec_denied",
+                &[("run", TelValue::U64(run as u64))],
+            );
+            return;
+        }
+        self.respec_attempts += 1;
+        // Worker faults apply to respecs too, epoch-keyed by run so burst
+        // plans can concentrate them into storm windows. A firing degrades
+        // this respec (the old binary stays — cold but correct) without
+        // blocking a later retry.
+        let faults = self.options.faults.at_epoch(run as u64);
+        if let Some(reason) = worker_fault(&faults, self.entry, tel) {
+            self.out.degrade(tel, reason);
+            return;
+        }
+        // Synchronous re-specialization from the window's aggregate — the
+        // workload's *current* behavior, not its history. Runs on the main
+        // thread for determinism; its simulated makespan is the price,
+        // accounted in `overhead`.
+        let rspan = tel.span("runtime.respec");
+        let config = self.options.specialize_config(tel.under(&rspan), faults);
+        let agg = self.window.aggregate();
+        let spec = specialize_copy(self.ctx, self.cache, self.module, &agg, &config);
+        drop(rspan);
+        match spec {
+            Ok(Ok(spec)) => {
+                // Retire the old machine: every occupied slot is an
+                // ICAP-level eviction.
+                if let Some((_, old_machine)) = &self.specialized {
+                    let (_, _, occupied, _) = old_machine.slot_stats();
+                    tel.add(names::ICAP_EVICTIONS, occupied as u64);
+                }
+                self.install(run, spec);
+                self.out.respecs += 1;
+                tel.add(names::RUNTIME_RESPECS, 1);
+                tel.event("runtime.respec", &[("run", TelValue::U64(run as u64))]);
+            }
+            Ok(Err(e)) => self
+                .out
+                .degrade(tel, DegradedReason::SpecializeFailed(e.to_string())),
+            Err(p) => self.out.degrade(
+                tel,
+                DegradedReason::SpecializeFailed(format!("respec panicked: {p}")),
+            ),
+        }
+    }
 }
 
 #[cfg(test)]

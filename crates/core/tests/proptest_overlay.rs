@@ -131,7 +131,6 @@ proptest! {
                     max_respecs: 3,
                 },
                 ready_after_runs: 2,
-                ..StormOptions::default()
             };
             run_storm(&ctx, &BitstreamCache::new(), &m, "main", &schedule, &options)
                 .expect("storm terminates")

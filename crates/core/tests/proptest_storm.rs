@@ -37,7 +37,6 @@ fn storm_opts(cad_workers: usize, store: Option<Arc<Store>>) -> StormOptions {
             max_respecs: 3,
         },
         ready_after_runs: 2,
-        ..StormOptions::default()
     }
 }
 

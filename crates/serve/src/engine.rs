@@ -28,18 +28,17 @@
 
 use crate::tenant::{admission_schedule, fleet, Admission, TenantSpec};
 use jitise_base::hash::SigHasher;
-use jitise_base::par::parallel_map_indexed;
 use jitise_base::{Result, SimTime};
 use jitise_cad::sched::{drr_dispatch, round_bound, DrrConfig, PoolJob};
 use jitise_cad::OverlayLibrary;
 use jitise_core::{
-    BitstreamCache, DegradedReason, EvalContext, SpecializeConfig, SpecializeReport,
-    SpecializeSession, WorkloadSession,
+    evict, hydrate, specialize, worker_fault, BitstreamCache, DegradedReason, EvalContext,
+    SpecializeConfig, SpecializeReport, WorkloadSession,
 };
-use jitise_faults::{FaultInjector, FaultSite, Quarantine, RetryPolicy};
+use jitise_faults::{FaultInjector, Quarantine, RetryPolicy};
 use jitise_ir::Module;
 use jitise_ise::{SearchConfig, SearchMemo};
-use jitise_store::{Record, Store};
+use jitise_store::Store;
 use jitise_telemetry::{names, HistogramSnapshot, Telemetry, Value as TelValue};
 use jitise_vm::Value;
 use jitise_woolcano::Woolcano;
@@ -339,25 +338,8 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
     let memo = Arc::new(SearchMemo::new());
     let mut ledger = CacheLedger::new();
     if let Some(store) = &config.store {
-        let state = store.state();
-        if !state.is_empty() {
-            let absorbed = cache.absorb_store(&state);
-            let mut quarantined = 0u64;
-            for (sig, reason) in &state.quarantine {
-                if quarantine.insert(*sig, reason) {
-                    quarantined += 1;
-                }
-            }
-            tel.add(names::STORE_WARM_RESTARTS, 1);
-            tel.event(
-                "serve.warm_restart",
-                &[
-                    ("entries_absorbed", TelValue::U64(absorbed as u64)),
-                    ("quarantine_absorbed", TelValue::U64(quarantined)),
-                ],
-            );
-        }
         // Entries hydrated from the store count against capacity too.
+        let state = hydrate(store, &cache, &quarantine, &tel, "serve.warm_restart");
         for sig in state.entries.keys() {
             ledger.note_fresh(*sig);
         }
@@ -409,20 +391,8 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
             // key, attempt): invariant under admission order and fleet
             // size (satellite regression in jitise-faults).
             let tinj = config.faults.for_tenant(spec.id).at_epoch(spec.id);
-            let worker_key = {
-                let mut h = SigHasher::new();
-                h.write_str("runtime.worker");
-                h.write_str("main");
-                h.finish()
-            };
-            let winj = tinj.scope(worker_key, 1);
-            if winj.decide(FaultSite::WorkerDeath).is_some() {
-                tel.add(names::FAULTS_INJECTED, 1);
-                degraded = Some(DegradedReason::WorkerDisconnected);
-            } else if winj.decide(FaultSite::WorkerStall).is_some() {
-                tel.add(names::FAULTS_INJECTED, 1);
-                degraded = Some(DegradedReason::WorkerStalled);
-            } else {
+            degraded = worker_fault(&tinj, "main", &tel);
+            if degraded.is_none() {
                 let spec_config = SpecializeConfig {
                     search: SearchConfig {
                         memo: Some(Arc::clone(&memo)),
@@ -439,8 +409,8 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
                 };
                 let mut m = module.clone();
                 let machine = Woolcano::with_telemetry(512, tel.clone());
-                let (session, jobs) = SpecializeSession::begin(
-                    &m,
+                match specialize(
+                    &mut m,
                     &profile,
                     &machine,
                     &ctx.estimator,
@@ -448,10 +418,7 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
                     &ctx.netlists,
                     &cache,
                     &spec_config,
-                );
-                let results =
-                    parallel_map_indexed(config.cad_workers, &jobs, |_, job| session.execute(job));
-                match session.finalize(&mut m, results) {
+                ) {
                     Err(e) => degraded = Some(DegradedReason::SpecializeFailed(e.to_string())),
                     Ok(r) => {
                         // Deadline check is lane-invariant by design:
@@ -488,13 +455,9 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
                 }
             }
             for sig in ledger.evict_to(config.cache_capacity) {
-                if cache.remove(sig) {
+                if evict(&cache, config.store.as_deref(), &tel, sig) {
                     evictions += 1;
                     tel.add(names::SERVE_CACHE_EVICTIONS, 1);
-                    if let Some(store) = &config.store {
-                        let _span = tel.span("store.append");
-                        let _ = store.append(Record::Evict { signature: sig });
-                    }
                 }
             }
 
@@ -503,15 +466,13 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
             let ready_at =
                 SimTime::from_micros(admission.admitted_at_us().expect("report implies admitted"));
             let jobs = tenant_jobs.entry(spec.id).or_default();
-            for c in &r.candidates {
-                // Two-tier candidates charge the overlay assembly too:
-                // both the fast install and its full-CAD upgrade occupy
-                // the shared pool.
-                let charge = if c.cache_hit {
-                    c.time_lost
-                } else {
-                    c.total() + c.time_lost + c.overlay_time
-                };
+            // Two-tier candidates charge the overlay assembly too: both the
+            // fast install and its full-CAD upgrade occupy the shared pool.
+            let charges = r.candidates.iter().map(|c| match c.cache_hit {
+                true => c.time_lost,
+                false => c.total() + c.time_lost + c.overlay_time,
+            });
+            for charge in charges.chain(r.failed.iter().map(|f| f.time_lost)) {
                 if charge > SimTime::ZERO {
                     jobs.push(pool_jobs.len());
                     pool_jobs.push(PoolJob {
@@ -521,25 +482,12 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
                     });
                 }
             }
-            for f in &r.failed {
-                if f.time_lost > SimTime::ZERO {
-                    jobs.push(pool_jobs.len());
-                    pool_jobs.push(PoolJob {
-                        tenant: spec.id,
-                        charge: f.time_lost,
-                        ready_at,
-                    });
-                }
-            }
         }
 
         // Remaining workload runs: adapted when healthy, software-only
         // when shed or degraded. Answers never change either way.
         for _ in 1..config.runs_per_tenant {
-            match &specialized {
-                Some((m, machine)) => ws.adapted_run(m, machine, "main", &args, &tel)?,
-                None => ws.software_run(&module, "main", &args, &tel)?,
-            }
+            ws.run(&module, specialized.as_ref(), "main", &args, &tel)?;
         }
 
         outcomes[i] = Some(TenantOutcome {
