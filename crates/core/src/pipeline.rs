@@ -42,11 +42,11 @@
 //! telemetry journal — is bit-identical for any worker count.
 //!
 //! The three stages are also exposed directly as [`SpecializeSession`]
-//! (`begin` → `execute` per job → `finalize`), so a multi-session runtime
-//! (`jitise-serve`, DESIGN.md §16) can interleave CAD jobs from many
-//! concurrent tenants through one shared bounded pool under its own fair
-//! scheduling policy; [`specialize`] is that session driven end-to-end
-//! with the in-process pool.
+//! (`begin` → `execute` per job → `finalize`), so a caller can decide
+//! where and when each CAD job runs (the benchmark's decomposed sweep
+//! times every stage on its own pool); [`specialize`] is that session
+//! driven end-to-end with the in-process pool, and every runtime driver
+//! uses it.
 
 use crate::cache::{BitstreamCache, CachedCi};
 use jitise_base::par::parallel_map_indexed;
@@ -752,11 +752,10 @@ struct Prepared {
 /// A pool job: everything a worker needs to run the generation loop for
 /// one prepared candidate. [`SpecializeSession::begin`] hands these out;
 /// whoever owns the session decides where and when each one runs — the
-/// in-process pool in [`specialize`], or a shared cross-tenant scheduler
-/// like `jitise-serve` — and feeds every result back to
-/// [`SpecializeSession::finalize`]. Execution is order-free by
-/// construction: all order-sensitive decisions already happened at
-/// dispatch.
+/// in-process pool in [`specialize`], or an external pool — and feeds
+/// every result back to [`SpecializeSession::finalize`]. Execution is
+/// order-free by construction: all order-sensitive decisions already
+/// happened at dispatch.
 pub struct CadJob {
     prep: usize,
     pool: usize,
@@ -783,9 +782,8 @@ pub struct CadJobResult {
 /// A specialization run split open at its stage boundaries.
 ///
 /// [`specialize`] is this session driven start-to-finish with an
-/// in-process worker pool. Multi-session runtimes (`jitise-serve`) use the
-/// session directly so CAD jobs from *many* concurrent tenants can share
-/// one bounded pool under an external scheduling policy:
+/// in-process worker pool. A caller that owns its own pool or scheduling
+/// policy drives the stages itself:
 ///
 /// 1. [`SpecializeSession::begin`] — phase 1 (candidate search) plus the
 ///    serial dispatch pre-pass (quarantine checks, duplicate dedup, the
@@ -1267,14 +1265,14 @@ impl<'a> SpecializeSession<'a> {
                     tier: InstallTier::Full,
                 },
             };
-            let result: std::result::Result<u32, Error> = match (error, &produced) {
+            let result: std::result::Result<u32, Error> = match error {
                 // The background generation exhausted its retries while the
                 // overlay serves correct answers: the candidate *succeeds* at
                 // the overlay tier. The generation waste stays on the fault
                 // ledger, and the overlay entry is committed to the in-memory
                 // cache so the next session rehydrates the fast path instead
                 // of starting cold.
-                (Some(e), _) if overlay_slot.is_some() => {
+                Some(e) if overlay_slot.is_some() => {
                     let (oslot, op) = overlay_slot.expect("overlay installed");
                     tier = InstallTier::Overlay;
                     cand_tel.event(
@@ -1287,9 +1285,9 @@ impl<'a> SpecializeSession<'a> {
                     bitstream_cache.put(op.entry);
                     Ok(oslot)
                 }
-                (Some(e), _) => Err(e),
-                (None, p) => {
-                    let p = p.as_ref().expect("generation succeeded");
+                Some(e) => Err(e),
+                None => {
+                    let p = produced.as_ref().expect("generation succeeded");
                     let moved;
                     (attempt, moved) = with_retries(
                         config,

@@ -12,7 +12,7 @@
 //! 2. **Execution** — tenants are processed *serially in admission
 //!    order* against the shared caches (so a later tenant naturally
 //!    hits entries an earlier one committed), with intra-tenant CAD
-//!    parallelism via `parallel_map_indexed`. Every observable here is
+//!    parallelism inside `specialize`. Every observable here is
 //!    bit-identical across `cad_workers` — the PR 3/7 determinism
 //!    pattern. Per-tenant fault streams are keyed by (tenant id,
 //!    epoch), so a tenant's schedule is invariant under admission order
@@ -338,8 +338,8 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
     let memo = Arc::new(SearchMemo::new());
     let mut ledger = CacheLedger::new();
     if let Some(store) = &config.store {
-        // Entries hydrated from the store count against capacity too.
         let state = hydrate(store, &cache, &quarantine, &tel, "serve.warm_restart");
+        // Entries hydrated from the store count against capacity too.
         for sig in state.entries.keys() {
             ledger.note_fresh(*sig);
         }
@@ -468,9 +468,12 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
             let jobs = tenant_jobs.entry(spec.id).or_default();
             // Two-tier candidates charge the overlay assembly too: both the
             // fast install and its full-CAD upgrade occupy the shared pool.
-            let charges = r.candidates.iter().map(|c| match c.cache_hit {
-                true => c.time_lost,
-                false => c.total() + c.time_lost + c.overlay_time,
+            let charges = r.candidates.iter().map(|c| {
+                if c.cache_hit {
+                    c.time_lost
+                } else {
+                    c.total() + c.time_lost + c.overlay_time
+                }
             });
             for charge in charges.chain(r.failed.iter().map(|f| f.time_lost)) {
                 if charge > SimTime::ZERO {

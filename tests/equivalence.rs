@@ -21,16 +21,74 @@ use jitise_store::testfix::tiny_bitstream;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-/// A recipe for one random straight-line+loop integer program.
+/// A recipe for one random straight-line+loop integer program: each op
+/// is an [`emit_op`] kind and its constant.
 #[derive(Debug, Clone)]
 struct ProgramRecipe {
     ops: Vec<(u8, i32)>,
     loop_iters: u8,
 }
 
+/// Op kinds [`emit_op`] draws from.
+const OP_KINDS: u8 = 14;
+
 fn recipe_strategy() -> impl Strategy<Value = ProgramRecipe> {
-    (prop::collection::vec((0u8..7, -50i32..50), 1..24), 1u8..12)
+    (
+        prop::collection::vec((0u8..OP_KINDS, -50i32..50), 1..24),
+        1u8..12,
+    )
         .prop_map(|(ops, loop_iters)| ProgramRecipe { ops, loop_iters })
+}
+
+/// Folds the i32 `v` through op kind `op` with constant `k`: integer ALU
+/// ops, shifts by amounts at and past the 32-bit width, signed and
+/// unsigned compare→select, an f64 round trip (sitofp, fadd, fmul,
+/// fptosi), and i8/i16 stores and loads through the scratch cell `narrow`.
+fn emit_op(b: &mut FunctionBuilder, v: Op, op: u8, k: i32, narrow: Op) -> Op {
+    let kc = Op::ci32(k);
+    // 0..40: shift amounts at and past the width wrap (mask) the same way
+    // on every tier and in the constant folder.
+    let amount = Op::ci32(k.rem_euclid(40));
+    match op {
+        0 => b.add(v, kc),
+        1 => b.sub(v, kc),
+        2 => b.mul(v, kc),
+        3 => b.xor(v, kc),
+        4 => b.and(v, Op::ci32(k | 0xff)),
+        5 => b.or(v, kc),
+        6 => {
+            let c = b.cmp(CmpOp::Slt, v, kc);
+            b.select(c, kc, v)
+        }
+        7 => b.shl(v, amount),
+        8 => b.lshr(v, amount),
+        9 => b.ashr(v, amount),
+        10 => {
+            let pred = [CmpOp::Ult, CmpOp::Ule, CmpOp::Ugt, CmpOp::Uge][k.rem_euclid(4) as usize];
+            let c = b.cmp(pred, v, kc);
+            b.select(c, v, kc)
+        }
+        11 => {
+            let f = b.sitofp(v, Type::F64);
+            let f = b.fadd(f, Op::cf64(k as f64 * 0.25));
+            let f = b.fmul(f, Op::cf64(0.75));
+            b.fptosi(f, Type::I32)
+        }
+        12 => {
+            let t = b.trunc(v, Type::I8);
+            b.store(t, narrow);
+            let l = b.load(Type::I8, narrow);
+            let l = b.sext(l, Type::I32);
+            b.xor(l, v)
+        }
+        _ => {
+            let t = b.trunc(v, Type::I16);
+            b.store(t, narrow);
+            let l = b.load(Type::I16, narrow);
+            let l = b.zext(l, Type::I32);
+            b.add(l, kc)
+        }
+    }
 }
 
 /// Builds a module from a recipe. The program folds a value through the
@@ -39,6 +97,7 @@ fn recipe_strategy() -> impl Strategy<Value = ProgramRecipe> {
 fn build(recipe: &ProgramRecipe) -> Module {
     let mut b = FunctionBuilder::new("main", vec![Type::I32], Type::I32);
     let cell = b.alloca(4);
+    let narrow = b.alloca(4);
     b.store(Op::ci32(17), cell);
     b.counted_loop(
         "i",
@@ -48,19 +107,7 @@ fn build(recipe: &ProgramRecipe) -> Module {
             let mut v = b.load(Type::I32, cell);
             v = b.add(v, i);
             for &(op, k) in &recipe.ops {
-                let kc = Op::ci32(k);
-                v = match op {
-                    0 => b.add(v, kc),
-                    1 => b.sub(v, kc),
-                    2 => b.mul(v, kc),
-                    3 => b.xor(v, kc),
-                    4 => b.and(v, Op::ci32(k | 0xff)),
-                    5 => b.or(v, kc),
-                    _ => {
-                        let c = b.cmp(CmpOp::Slt, v, kc);
-                        b.select(c, kc, v)
-                    }
-                };
+                v = emit_op(b, v, op, k, narrow);
                 // Sprinkle folding material.
                 v = b.add(v, Op::ci32(0));
             }
@@ -293,6 +340,7 @@ fn build_tiered(recipe: &ProgramRecipe, oob: bool) -> Module {
     b.add_incoming(merged, cdiv, x2);
     b.add_incoming(merged, cdef, x3);
     let cell2 = b.alloca(4);
+    let narrow = b.alloca(4);
     b.store(Op::ci32(17), cell2);
     b.counted_loop(
         "i",
@@ -302,19 +350,7 @@ fn build_tiered(recipe: &ProgramRecipe, oob: bool) -> Module {
             let mut v = b.load(Type::I32, cell2);
             v = b.add(v, i);
             for &(op, k) in &recipe.ops {
-                let kc = Op::ci32(k);
-                v = match op {
-                    0 => b.add(v, kc),
-                    1 => b.sub(v, kc),
-                    2 => b.mul(v, kc),
-                    3 => b.xor(v, kc),
-                    4 => b.and(v, Op::ci32(k | 0xff)),
-                    5 => b.or(v, kc),
-                    _ => {
-                        let c = b.cmp(CmpOp::Slt, v, kc);
-                        b.select(c, kc, v)
-                    }
-                };
+                v = emit_op(b, v, op, k, narrow);
             }
             b.store(v, cell2);
         },
@@ -355,14 +391,17 @@ proptest! {
     fn fast_tier_matches_interpreter(
         recipe in recipe_strategy(),
         sel in -4i64..8,
-        fuel in any::<bool>(),
+        cut in any::<bool>(),
+        fuel in 1u64..4000,
         oob in any::<bool>(),
     ) {
         let m = build_tiered(&recipe, oob);
         jitise::ir::verify::verify_module(&m).expect("tiered module verifies");
-        // A tiny budget trips "step budget ... exhausted" mid-loop; the
-        // trap point and the partial profile must agree across tiers.
-        let max_steps = if fuel { 120 } else { RunConfig::default().max_steps };
+        // A budget drawn from a range trips "step budget ... exhausted"
+        // anywhere in the program, so the cut lands inside every op kind
+        // (and between the halves of a fused pair); the trap point and
+        // the partial profile must agree across tiers.
+        let max_steps = if cut { fuel } else { RunConfig::default().max_steps };
         assert_tiers_agree(&m, &[Value::I(sel)], max_steps)?;
 
         // The optimized module reshapes blocks and phis; the tiers must
