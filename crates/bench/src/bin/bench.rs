@@ -1,4 +1,4 @@
-//! Perf-trajectory harness: seeded deterministic workloads for five
+//! Perf-trajectory harness: seeded deterministic workloads for eight
 //! topics, one schema-versioned `BENCH_<topic>.json` artifact each, and a
 //! regression gate (DESIGN.md §13).
 //!
@@ -15,7 +15,10 @@
 //! * `store`    — recovery time and committed-prefix accounting under a
 //!   mid-write crash budget;
 //! * `pipeline` — end-to-end `specialize()` + `run_adaptive()` session
-//!   latency, modeled overhead, and the session's CI executions;
+//!   latency, modeled overhead, the session's CI executions, its
+//!   degraded and warm-restart paths, a fault-rate chaos sweep over three
+//!   apps (DESIGN.md §9), and a crash-point sweep over the session's
+//!   journal (DESIGN.md §11);
 //! * `storm`    — phase-storm resilience: `run_storm()` over a rotating
 //!   hot set (detection, eviction, re-specialization counters, recovery
 //!   quality), invariant across CAD lanes, plus a crash-storm run (burst
@@ -53,14 +56,17 @@
 use jitise_apps::App;
 use jitise_apps::{build_phased, PhasedSpec};
 use jitise_base::hash::hash_bytes;
+use jitise_base::SimTime;
 use jitise_bench::runner::{measure_host, measure_host_cold};
 use jitise_bench::schema::{check, BenchArtifact, CheckPolicy, CheckReport};
 use jitise_bench::workload::{search_module, search_profile};
 use jitise_core::{
-    evaluate_app, run_adaptive_with, run_storm, AdaptiveOptions, BitstreamCache, EvalContext,
-    PhasePolicy, PhaseSegment, StormOptions,
+    evaluate_app, run_adaptive_with, run_storm, AdaptiveOptions, AdaptiveOutcome, BitstreamCache,
+    EvalContext, PhasePolicy, PhaseSegment, StormOptions,
 };
-use jitise_faults::{Bursts, CrashSwitch, FaultInjector, FaultPlan, FaultSite, StoreCrash};
+use jitise_faults::{
+    Bursts, CrashSwitch, FaultInjector, FaultPlan, FaultSite, Quarantine, StoreCrash,
+};
 use jitise_ise::{
     candidate_search, identify_makespan, Algorithm, DepthEstimator, PruneFilter, SearchConfig,
     SearchMemo,
@@ -68,7 +74,7 @@ use jitise_ise::{
 use jitise_pivpav::PivPavEstimator;
 use jitise_serve::{run_serve, ServeConfig};
 use jitise_store::testfix::sample_entry;
-use jitise_store::{Record, Store, StoreOptions, TempDir};
+use jitise_store::{Record, Store, StoreOptions, StoreState, TempDir};
 use jitise_telemetry::{names, Profiler, Telemetry};
 use jitise_vm::{CostModel, Interpreter, PredecodedModule, Value};
 use std::path::{Path, PathBuf};
@@ -78,7 +84,7 @@ use std::sync::Arc;
 const TOPICS: [&str; 8] = [
     "search", "cad", "vm", "store", "pipeline", "storm", "serve", "overlay",
 ];
-/// Default workload seed — the paper's year, like the chaos harness.
+/// Default workload seed — the paper's year.
 const DEFAULT_SEED: u64 = 2011;
 
 fn main() -> ExitCode {
@@ -733,17 +739,14 @@ fn bench_pipeline(seed: u64, smoke: bool) -> BenchArtifact {
 
     let app = App::build(app_name).expect("paper app");
     let session = |ctx: &EvalContext, cache: &BitstreamCache| {
-        run_adaptive_with(
+        adaptive(
             ctx,
             cache,
-            &app.module,
-            app.entry,
-            &app.datasets[0].args,
+            &app,
             total_runs,
             ready_after,
             &AdaptiveOptions::default(),
         )
-        .expect("session terminates")
     };
 
     let outcome = session(&EvalContext::new(), &BitstreamCache::new());
@@ -772,18 +775,15 @@ fn bench_pipeline(seed: u64, smoke: bool) -> BenchArtifact {
     // stalled one past the watchdog, pipeline faults as in CI's trace job,
     // a warm restart from a recovered store, and a latency gate that never
     // opens.
-    let fingerprint = |runs: u32, ready: u32, cache: &BitstreamCache, options: &AdaptiveOptions| {
-        let out = run_adaptive_with(
+    let fingerprint = |runs: u32, ready: u32, options: &AdaptiveOptions| {
+        let out = adaptive(
             &EvalContext::new(),
-            cache,
-            &app.module,
-            app.entry,
-            &app.datasets[0].args,
+            &BitstreamCache::new(),
+            &app,
             runs,
             ready,
             options,
-        )
-        .expect("session terminates");
+        );
         hash_bytes(out.fingerprint().as_bytes())
     };
     let faulty = |plan: FaultPlan| AdaptiveOptions {
@@ -808,8 +808,7 @@ fn bench_pipeline(seed: u64, smoke: bool) -> BenchArtifact {
         ("pipeline.stall.fingerprint", stall),
         ("pipeline.faults.fingerprint", faulty(pipeline_sites)),
     ] {
-        let fp = fingerprint(total_runs, ready_after, &BitstreamCache::new(), &options);
-        art.exact(name, "hash", fp);
+        art.exact(name, "hash", fingerprint(total_runs, ready_after, &options));
     }
     let dir = TempDir::new("bench-pipeline-warm");
     let stored = |store: Store| AdaptiveOptions {
@@ -817,24 +816,21 @@ fn bench_pipeline(seed: u64, smoke: bool) -> BenchArtifact {
         ..AdaptiveOptions::default()
     };
     let cold = stored(Store::open(dir.path()).expect("fresh store"));
-    let _ = fingerprint(total_runs, ready_after, &BitstreamCache::new(), &cold);
+    let _ = fingerprint(total_runs, ready_after, &cold);
     drop(cold);
     let warm = stored(Store::open(dir.path()).expect("store recovery"));
     art.exact(
         "pipeline.warm.fingerprint",
         "hash",
-        fingerprint(total_runs, ready_after, &BitstreamCache::new(), &warm),
+        fingerprint(total_runs, ready_after, &warm),
     );
     art.exact(
         "pipeline.late_gate.fingerprint",
         "hash",
-        fingerprint(
-            total_runs,
-            total_runs + 1,
-            &BitstreamCache::new(),
-            &AdaptiveOptions::default(),
-        ),
+        fingerprint(total_runs, total_runs + 1, &AdaptiveOptions::default()),
     );
+    pipeline_chaos(&mut art, seed, total_runs, ready_after);
+    pipeline_crash(&mut art, &app, total_runs, ready_after);
 
     // Cold session: fresh caches every repetition. Warm session: the
     // bitstream cache persists, so specialization is all cache hits.
@@ -862,6 +858,208 @@ fn bench_pipeline(seed: u64, smoke: bool) -> BenchArtifact {
     );
     art.set_profile(&Profiler::from_snapshot(&snap));
     art
+}
+
+/// One adaptive session over `app`'s first dataset: `runs` runs with the
+/// install gate at run `ready`.
+fn adaptive(
+    ctx: &EvalContext,
+    cache: &BitstreamCache,
+    app: &App,
+    runs: u32,
+    ready: u32,
+    options: &AdaptiveOptions,
+) -> AdaptiveOutcome {
+    let args = &app.datasets[0].args;
+    let out = run_adaptive_with(
+        ctx,
+        cache,
+        &app.module,
+        app.entry,
+        args,
+        runs,
+        ready,
+        options,
+    );
+    out.expect("session terminates")
+}
+
+/// Chaos sweep (DESIGN.md §9): adpcm, sor and fft under uniform plans
+/// drawn from the topic seed at rates {0, 0.1, 0.5}, each session
+/// journaling to a fresh store whose WAL the same plan corrupts. Worker
+/// sites stay at rate 0, as in `pipeline.faults`, so no outcome races the
+/// host-clock watchdog; death and stall have their own fingerprints.
+fn pipeline_chaos(art: &mut BenchArtifact, seed: u64, runs: u32, ready: u32) {
+    art.config("chaos_apps", "adpcm,sor,fft");
+    art.config("chaos_rates", "0,0.1,0.5");
+    for name in ["adpcm", "sor", "fft"] {
+        let app = App::build(name).expect("paper app");
+        let session = |faults: FaultInjector, store: Option<Arc<Store>>| {
+            let tel = Telemetry::enabled();
+            let ctx = EvalContext::with_telemetry(tel.clone());
+            let options = AdaptiveOptions {
+                faults,
+                store,
+                ..AdaptiveOptions::default()
+            };
+            let out = adaptive(&ctx, &BitstreamCache::new(), &app, runs, ready, &options);
+            (out, tel.snapshot().counter(names::FAULTS_INJECTED))
+        };
+        let (clean, _) = session(FaultInjector::disabled(), None);
+        for (ri, rate) in [0.0, 0.1, 0.5].into_iter().enumerate() {
+            let plan = FaultPlan::uniform(rate, seed)
+                .with_rate(FaultSite::WorkerStall, 0.0)
+                .with_rate(FaultSite::WorkerDeath, 0.0);
+            let dir = TempDir::new("bench-pipeline-chaos");
+            let store = StoreOptions {
+                faults: FaultInjector::from_plan(plan.clone()),
+                ..StoreOptions::default()
+            };
+            let store = Store::open_with(dir.path(), store).expect("fresh store");
+            let (out, injected) = session(FaultInjector::from_plan(plan), Some(Arc::new(store)));
+            assert_eq!(
+                out.results, clean.results,
+                "{name} at {rate}: an answer changed"
+            );
+            if rate == 0.0 {
+                assert_eq!(injected, 0, "{name}: a zero-rate plan injected a fault");
+                assert_eq!(
+                    out.fingerprint(),
+                    clean.fingerprint(),
+                    "{name}: a zero-rate plan is not transparent"
+                );
+            }
+            // Corrupted records are CRC-dropped on reopen, never fatal.
+            let store = Store::open(dir.path()).expect("the store reopens after a chaos session");
+            let point = format!(
+                "{} injected={injected} {:?}",
+                out.fingerprint(),
+                store.recovery()
+            );
+            art.exact(
+                &format!("pipeline.chaos.{name}.r{ri}.fingerprint"),
+                "hash",
+                hash_bytes(point.as_bytes()),
+            );
+        }
+    }
+}
+
+/// Crash-point sweep (DESIGN.md §11): the store dies at 16 strides across
+/// the bytes `app`'s session journals, plus both endpoints. At every point
+/// recovery succeeds and equals the acknowledged fold, the crashed session
+/// equals the storeless one, and a warm restart from the survivor equals a
+/// session seeded by hand from the recovered state and never pays more
+/// overhead than the cold one (none at all once the whole journal landed).
+fn pipeline_crash(art: &mut BenchArtifact, app: &App, runs: u32, ready: u32) {
+    let session = |cache: &BitstreamCache, store: Option<Arc<Store>>, quarantine| {
+        let options = AdaptiveOptions {
+            store,
+            quarantine,
+            ..AdaptiveOptions::default()
+        };
+        adaptive(&EvalContext::new(), cache, app, runs, ready, &options)
+    };
+    let cold = session(&BitstreamCache::new(), None, Arc::default());
+    let candidates = cold
+        .report
+        .as_ref()
+        .expect("session specializes")
+        .candidates
+        .len();
+    let probe_dir = TempDir::new("bench-pipeline-probe");
+    let probe = Arc::new(Store::open(probe_dir.path()).expect("fresh store"));
+    let probed = session(
+        &BitstreamCache::new(),
+        Some(Arc::clone(&probe)),
+        Arc::default(),
+    );
+    assert_eq!(
+        probed.fingerprint(),
+        cold.fingerprint(),
+        "a store-attached session must equal the storeless one"
+    );
+    let total = probe.bytes_written();
+    art.config("crash_strides", 16);
+    art.exact("pipeline.crash.journal_bytes", "bytes", total);
+    let mut points = String::new();
+    for budget in (0..=total)
+        .step_by((total / 16).max(1) as usize)
+        .chain([total])
+    {
+        let dir = TempDir::new("bench-pipeline-crash");
+        let crash = CrashSwitch::armed(StoreCrash {
+            after_bytes: budget,
+        });
+        let options = StoreOptions {
+            crash,
+            ..StoreOptions::default()
+        };
+        // A budget inside the WAL header kills the open itself: nothing
+        // was acknowledged.
+        let acked = match Store::open_with(dir.path(), options) {
+            Ok(store) => {
+                let store = Arc::new(store);
+                let out = session(
+                    &BitstreamCache::new(),
+                    Some(Arc::clone(&store)),
+                    Arc::default(),
+                );
+                assert_eq!(
+                    out.fingerprint(),
+                    cold.fingerprint(),
+                    "a store death at byte {budget} leaked into the session"
+                );
+                store.fingerprint()
+            }
+            Err(_) => StoreState::default().fingerprint(),
+        };
+        let recovered = Store::open(dir.path()).expect("recovery succeeds at every crash point");
+        assert_eq!(
+            recovered.fingerprint(),
+            acked,
+            "byte {budget}: recovered != acknowledged"
+        );
+        let recovery = recovered.recovery().clone();
+        let state = recovered.state();
+        let seeded = BitstreamCache::new();
+        seeded.absorb_store(&state);
+        let quarantine = Arc::new(Quarantine::new());
+        for (sig, reason) in &state.quarantine {
+            quarantine.insert(*sig, reason);
+        }
+        let reference = session(&seeded, None, quarantine);
+        let warm_quarantine = Arc::new(Quarantine::new());
+        let warm = session(
+            &BitstreamCache::new(),
+            Some(Arc::new(recovered)),
+            Arc::clone(&warm_quarantine),
+        );
+        let report = warm.report.as_ref().expect("warm session specializes");
+        assert_eq!(
+            Some(report.fingerprint()),
+            reference.report.as_ref().map(|r| r.fingerprint()),
+            "byte {budget}: a warm restart must equal the hand-seeded session"
+        );
+        assert!(
+            warm.overhead <= cold.overhead,
+            "byte {budget}: warm overhead > cold"
+        );
+        assert!(
+            budget < total || (warm.overhead == SimTime::ZERO && report.cache_hits == candidates),
+            "a whole journal must restart all hits with zero overhead"
+        );
+        points.push_str(&format!(
+            "{budget} {recovery:?} quarantine={} {};",
+            warm_quarantine.len(),
+            warm.fingerprint()
+        ));
+    }
+    art.exact(
+        "pipeline.crash.fingerprint",
+        "hash",
+        hash_bytes(points.as_bytes()),
+    );
 }
 
 // ----------------------------------------------------------------- storm
@@ -1448,17 +1646,7 @@ fn bench_overlay(seed: u64, smoke: bool) -> BenchArtifact {
             overlay: Some(Arc::new(jitise_cad::OverlayLibrary::from_db(&ctx.db))),
             ..AdaptiveOptions::default()
         };
-        run_adaptive_with(
-            &ctx,
-            &BitstreamCache::new(),
-            &app.module,
-            app.entry,
-            &app.datasets[0].args,
-            4,
-            2,
-            &opts,
-        )
-        .expect("overlay session terminates")
+        adaptive(&ctx, &BitstreamCache::new(), &app, 4, 2, &opts)
     };
     let mut fingerprint = None;
     for lanes in [1usize, 2, 8] {

@@ -1,17 +1,17 @@
 //! # jitise-bench — evaluation harness
 //!
 //! Table-reproduction binaries (`table1` … `table4`, `sweep`) and the
-//! Criterion micro-benchmarks. The binaries print the same rows and
+//! `trace` telemetry driver. The table binaries print the same rows and
 //! columns as the paper's tables, with measured values side by side with
 //! the published ones; `EXPERIMENTS.md` archives their output.
 //!
 //! The `bench` binary is the perf-trajectory harness: it runs seeded
-//! deterministic workloads for five topics (candidate search, CAD
-//! makespan, VM interpreter, store recovery, end-to-end pipeline) and
-//! writes one schema-versioned `BENCH_<topic>.json` artifact per topic
-//! (see [`schema`]); `bench --check` gates a fresh run against committed
+//! deterministic workloads for eight topics (candidate search, CAD, VM,
+//! store, pipeline, storm, serve, overlay) and writes one
+//! schema-versioned `BENCH_<topic>.json` artifact per topic (see
+//! [`schema`]); `bench --check` gates a fresh run against committed
 //! baselines. [`runner`] measures host time, [`workload`] builds the
-//! shared synthetic workloads.
+//! synthetic search workload.
 
 pub mod runner;
 pub mod schema;

@@ -1,4 +1,4 @@
-//! Host-clock measurement for the perf binaries.
+//! Host-clock measurement for the `bench` topics.
 //!
 //! Repetition statistics, not single shots: every timed section runs
 //! `reps` times and reports min/median/p90 nanoseconds. The regression

@@ -1,12 +1,12 @@
 //! The `BENCH_<topic>.json` perf-artifact schema and the regression gate.
 //!
-//! Every perf binary in this crate funnels its numbers through
-//! [`BenchArtifact`]: a schema-versioned, machine-readable record of one
-//! benchmark topic — machine metadata, seed, config knobs, a flat metric
-//! list, and the profiler's per-stage self-time breakdown. Artifacts are
-//! written pretty-printed (humans read the diffs of committed baselines)
-//! and parsed back by `bench --check`, which compares a fresh run against
-//! a baseline and exits non-zero on regression.
+//! The `bench` binary funnels its numbers through [`BenchArtifact`]: a
+//! schema-versioned, machine-readable record of one benchmark topic —
+//! machine metadata, seed, config knobs, a flat metric list, and the
+//! profiler's per-stage self-time breakdown. Artifacts are written
+//! pretty-printed (humans read the diffs of committed baselines) and
+//! parsed back by `bench --check`, which compares a fresh run against a
+//! baseline and exits non-zero on regression.
 //!
 //! ## Metric classes
 //!
@@ -260,14 +260,6 @@ impl BenchArtifact {
         self.to_json().to_pretty()
     }
 
-    /// Writes the pretty-printed artifact to `path` and echoes
-    /// `wrote <path>` — the shared tail of every sweep bin's `--json`
-    /// mode (see [`take_json_path`]).
-    pub fn emit(&self, path: &str) {
-        std::fs::write(path, self.to_pretty_string()).expect("write artifact");
-        println!("wrote {path}");
-    }
-
     /// Parses an artifact, rejecting documents whose schema major differs
     /// from [`SCHEMA_MAJOR`]. A newer minor is accepted (unknown fields
     /// are ignored).
@@ -344,18 +336,6 @@ impl BenchArtifact {
             collapsed: req_str(&doc, "collapsed")?,
         })
     }
-}
-
-/// Extracts a `--json <path>` flag from a sweep bin's argument list,
-/// removing both tokens so the remaining arguments can be parsed
-/// positionally. Every sweep bin shares this flag; pairing it with
-/// [`BenchArtifact::emit`] replaces the hand-rolled writers each bin
-/// used to carry. Panics if the flag is present without a value.
-pub fn take_json_path(args: &mut Vec<String>) -> Option<String> {
-    let i = args.iter().position(|a| a == "--json")?;
-    let path = args.get(i + 1).expect("--json needs a path").clone();
-    args.drain(i..=i + 1);
-    Some(path)
 }
 
 fn metric_to_json(m: &Metric) -> Json {

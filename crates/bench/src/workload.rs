@@ -1,9 +1,7 @@
-//! Seeded, deterministic workload builders shared by the perf binaries.
+//! Seeded, deterministic workload builders for the `bench` search topic.
 //!
-//! The `bench` and `search` binaries measure the same synthetic module so
-//! their numbers line up; building it here keeps the workload shape in
-//! one place (the shape IS the config — `BENCH_*.json` records the knob
-//! values so the gate refuses to compare different shapes).
+//! The shape IS the config: `BENCH_search.json` records the knob values,
+//! so the gate refuses to compare different shapes.
 
 use jitise_ir::{FunctionBuilder, Module, Operand as Op, Type};
 use jitise_vm::{Interpreter, Profile, Value};

@@ -87,7 +87,7 @@ fn assert_schedule_oblivious(app_name: &str, plan: Option<FaultPlan>) {
         base.makespan, base.cpu_time,
         "one lane: the makespan is the sequential total"
     );
-    for workers in [2usize, 8] {
+    for workers in [2usize, 4, 8] {
         let par = run(app_name, workers, plan.clone());
         assert_eq!(base.fingerprint, par.fingerprint, "workers={workers}");
         assert_eq!(base.module, par.module, "patched module, workers={workers}");
@@ -112,6 +112,7 @@ fn assert_schedule_oblivious(app_name: &str, plan: Option<FaultPlan>) {
 #[test]
 fn fault_free_run_is_identical_for_any_worker_count() {
     assert_schedule_oblivious("adpcm", None);
+    assert_schedule_oblivious("sor", None);
 }
 
 #[test]
