@@ -21,6 +21,10 @@
 //! * [`MetricValue::Info`] — derived context (MIPS, speedups over host
 //!   time). Never gated; differences are reported as notes.
 //!
+//! The profile is gated too: each stage's span `count`, `sim_total_ns`
+//! and `sim_self_ns`, and the sim-weighted `collapsed` stacks, must equal
+//! the baseline's bit for bit. Its host columns are context only.
+//!
 //! ## Versioning
 //!
 //! `schema` is `jitise-bench/<major>.<minor>`. [`BenchArtifact::parse`]
@@ -446,7 +450,7 @@ impl CheckReport {
 }
 
 /// Gates `current` against `baseline` (see the module docs for class
-/// semantics). Artifacts must describe the same workload — topic, seed,
+/// semantics and the profile gate). Artifacts must describe the same workload — topic, seed,
 /// smoke flag, and config all have to match, otherwise the comparison
 /// itself is reported as a regression. A changed machine is a note, not a
 /// failure: host tolerances absorb hardware drift, exact metrics don't
@@ -560,5 +564,59 @@ pub fn check(
             ));
         }
     }
+    check_profile(baseline, current, &mut report);
     report
+}
+
+/// The deterministic part of the profile: each stage's span count and
+/// simulated total/self time, and the sim-weighted collapsed stacks, are
+/// gated with `==` like exact metrics. Host columns are never gated.
+fn check_profile(baseline: &BenchArtifact, current: &BenchArtifact, report: &mut CheckReport) {
+    let topic = &baseline.topic;
+    for base in &baseline.profile {
+        let Some(cur) = current.profile.iter().find(|s| s.name == base.name) else {
+            report.regressions.push(format!(
+                "{topic}: profile stage `{}` disappeared",
+                base.name
+            ));
+            continue;
+        };
+        for (column, b, c) in [
+            ("count", base.count, cur.count),
+            ("sim_total_ns", base.sim_total_ns, cur.sim_total_ns),
+            ("sim_self_ns", base.sim_self_ns, cur.sim_self_ns),
+        ] {
+            if b != c {
+                report.regressions.push(format!(
+                    "{topic}: profile stage `{}` {column} changed: {b} -> {c} \
+                     (must be bit-identical)",
+                    base.name
+                ));
+            }
+        }
+    }
+    for cur in &current.profile {
+        if !baseline.profile.iter().any(|s| s.name == cur.name) {
+            report.notes.push(format!(
+                "{topic}: new profile stage `{}` (absent from baseline)",
+                cur.name
+            ));
+        }
+    }
+    if baseline.collapsed != current.collapsed {
+        let base: Vec<&str> = baseline.collapsed.lines().collect();
+        let cur: Vec<&str> = current.collapsed.lines().collect();
+        let detail = match (0..base.len().max(cur.len())).find(|&i| base.get(i) != cur.get(i)) {
+            Some(i) => format!(
+                "line {}: {:?} -> {:?}",
+                i + 1,
+                base.get(i).unwrap_or(&"<end>"),
+                cur.get(i).unwrap_or(&"<end>")
+            ),
+            None => "line endings differ".to_string(),
+        };
+        report.regressions.push(format!(
+            "{topic}: collapsed stacks changed (must be bit-identical): {detail}"
+        ));
+    }
 }

@@ -194,6 +194,64 @@ fn new_metrics_are_notes_only() {
     assert!(report.notes.iter().any(|n| n.contains("new metric")));
 }
 
+#[test]
+fn check_gates_the_profile_sim_columns_and_stacks_bit_for_bit() {
+    let base = sample();
+
+    // Host columns are context: any drift passes without a regression.
+    let mut cur = base.clone();
+    cur.profile[0].host_total_ns *= 3;
+    cur.profile[0].host_self_ns += 1;
+    assert!(check(&base, &cur, &CheckPolicy::default()).ok());
+
+    for column in ["count", "sim_total_ns", "sim_self_ns"] {
+        let mut cur = base.clone();
+        let stage = &mut cur.profile[0];
+        match column {
+            "count" => stage.count += 1,
+            "sim_total_ns" => stage.sim_total_ns += 1,
+            _ => stage.sim_self_ns -= 1,
+        }
+        let report = check(&base, &cur, &CheckPolicy::default());
+        assert!(!report.ok(), "{column} drift must fail");
+        assert!(
+            report.regressions[0].contains(column),
+            "{:?}",
+            report.regressions
+        );
+    }
+
+    let mut cur = base.clone();
+    cur.profile.clear();
+    let report = check(&base, &cur, &CheckPolicy::default());
+    assert!(report.regressions[0].contains("disappeared"));
+
+    // A stage only the current run has is a note, like a new metric.
+    let mut cur = base.clone();
+    let mut extra = cur.profile[0].clone();
+    extra.name = "store.append".into();
+    cur.profile.push(extra);
+    let report = check(&base, &cur, &CheckPolicy::default());
+    assert!(report.ok());
+    assert!(report.notes.iter().any(|n| n.contains("new profile stage")));
+
+    // One edited stack weight fails, and the message names the line.
+    let mut cur = base.clone();
+    cur.collapsed = "pipeline.specialize;cad.par 65000000001\n".into();
+    let report = check(&base, &cur, &CheckPolicy::default());
+    assert!(!report.ok());
+    assert!(
+        report.regressions[0].contains("collapsed stacks changed")
+            && report.regressions[0].contains("line 1"),
+        "{:?}",
+        report.regressions
+    );
+    // So does a stack line that only one side has.
+    cur.collapsed = format!("{}extra;stage 1\n", base.collapsed);
+    let report = check(&base, &cur, &CheckPolicy::default());
+    assert!(report.regressions[0].contains("\"<end>\" -> \"extra;stage 1\""));
+}
+
 fn set_host_min(art: &mut BenchArtifact, v: f64) {
     match &mut art.metrics[2].value {
         MetricValue::Host { min_ns, .. } => *min_ns = v,
