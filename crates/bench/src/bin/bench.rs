@@ -632,11 +632,12 @@ fn bench_store(seed: u64, smoke: bool) -> BenchArtifact {
                 .append(Record::CacheEntry(sample_entry(sig(entries + i))))
                 .expect("append");
         }
-        store.bytes_written()
+        (store.bytes_written(), store.syncs())
     };
     let dir = TempDir::new("bench-store");
-    let bytes = populate(dir.path());
+    let (bytes, syncs) = populate(dir.path());
     art.exact("store.bytes_written", "bytes", bytes);
+    art.exact("store.syncs", "count", syncs);
 
     let recovered = Store::open(dir.path()).expect("recovery");
     art.exact(
@@ -982,6 +983,7 @@ fn pipeline_crash(art: &mut BenchArtifact, app: &App, runs: u32, ready: u32) {
     let total = probe.bytes_written();
     art.config("crash_strides", 16);
     art.exact("pipeline.crash.journal_bytes", "bytes", total);
+    art.exact("pipeline.crash.syncs", "count", probe.syncs());
     let mut points = String::new();
     for budget in (0..=total)
         .step_by((total / 16).max(1) as usize)
@@ -1217,8 +1219,9 @@ fn bench_storm(seed: u64, smoke: bool) -> BenchArtifact {
     let dry_dir = TempDir::new("bench-storm-dry");
     let (_, dry_store) = store_session(CrashSwitch::disabled(), dry_dir.path());
     let budget = dry_store.bytes_written() / 2;
-    drop(dry_store);
     art.config("crash_budget_bytes", budget);
+    art.exact("storm.syncs", "count", dry_store.syncs());
+    drop(dry_store);
 
     let crash_dir = TempDir::new("bench-storm-crash");
     let (out, store) = store_session(
@@ -1423,10 +1426,11 @@ fn bench_serve(seed: u64, smoke: bool) -> BenchArtifact {
         "storm must leave some tenants healthy"
     );
     let budget = dry_store.bytes_written() * 6 / 10;
-    drop(dry_store);
     art.config("crash_budget_bytes", budget);
     art.exact("serve.storm.degraded", "count", dry.degraded as u64);
     art.exact("serve.storm.evictions", "count", dry.evictions);
+    art.exact("serve.syncs", "count", dry_store.syncs());
+    drop(dry_store);
 
     let crash_dir = TempDir::new("bench-serve-crash");
     let store = Arc::new(

@@ -126,6 +126,8 @@ struct Inner {
     /// Bytes this session pushed through the crash switch — the budget
     /// axis the crash-sim sweep walks.
     written: u64,
+    /// File syncs this session issued (see [`Store::syncs`]).
+    syncs: u64,
 }
 
 /// A crash-consistent, versioned on-disk store for committed session
@@ -261,12 +263,13 @@ impl Store {
         // 3. Reopen the log: keep the committed prefix, or start a fresh
         // generation when the old log was stale/unreadable.
         let mut written = 0u64;
+        let mut syncs = 0u64;
         let wal = if keep_wal {
             LogFile::open_at(&wal_path, committed as u64)?
         } else {
             let mut log = LogFile::open_at(&wal_path, 0)?;
             let header = header_frame(generation);
-            log.append(&header, &opts.crash)?;
+            log.append(&header, &opts.crash, &mut syncs)?;
             written = header.len() as u64;
             log
         };
@@ -276,6 +279,7 @@ impl Store {
 
         let tel = &opts.telemetry;
         tel.add(names::STORE_RECOVERIES, 1);
+        tel.add(names::STORE_SYNCS, syncs);
         tel.add(names::STORE_RECORDS_RECOVERED, report.records_recovered);
         tel.add(names::STORE_TORN_TAILS, report.torn_tails_dropped);
         tel.add(
@@ -311,6 +315,7 @@ impl Store {
                 dead: false,
                 appended: 0,
                 written,
+                syncs,
             }),
         })
     }
@@ -323,6 +328,15 @@ impl Store {
     /// crash does not un-commit the freshly appended record.
     pub fn append(&self, rec: Record) -> Result<()> {
         let mut inner = self.inner.lock();
+        let syncs = inner.syncs;
+        let result = self.append_locked(&mut inner, rec);
+        self.opts
+            .telemetry
+            .add(names::STORE_SYNCS, inner.syncs - syncs);
+        result
+    }
+
+    fn append_locked(&self, inner: &mut Inner, rec: Record) -> Result<()> {
         if inner.dead || inner.wal.is_dead() {
             self.opts.telemetry.add(names::STORE_APPEND_FAILURES, 1);
             return Err(Error::Store("store is dead after a crash".into()));
@@ -334,7 +348,10 @@ impl Store {
             .faults
             .scope(inner.appended, 1)
             .corrupt(FaultSite::StoreWal, &mut framed);
-        match inner.wal.append(&framed, &self.opts.crash) {
+        match inner
+            .wal
+            .append(&framed, &self.opts.crash, &mut inner.syncs)
+        {
             Ok(()) => {
                 inner.written += framed.len() as u64;
                 inner.appended += 1;
@@ -343,7 +360,7 @@ impl Store {
                 if inner.wal.len() > self.opts.compact_threshold {
                     // The record is committed either way; a compaction
                     // crash just kills the store for later writes.
-                    let _ = self.compact_locked(&mut inner);
+                    let _ = self.compact_locked(inner);
                 }
                 Ok(())
             }
@@ -358,7 +375,12 @@ impl Store {
     /// Folds the WAL into a fresh snapshot generation and resets the log.
     pub fn compact(&self) -> Result<()> {
         let mut inner = self.inner.lock();
-        self.compact_locked(&mut inner)
+        let syncs = inner.syncs;
+        let result = self.compact_locked(&mut inner);
+        self.opts
+            .telemetry
+            .add(names::STORE_SYNCS, inner.syncs - syncs);
+        result
     }
 
     fn compact_locked(&self, inner: &mut Inner) -> Result<()> {
@@ -371,7 +393,13 @@ impl Store {
         enc.put_str(SNAP_MAGIC).put_varu64(generation);
         enc.put_bytes(&inner.state.encode());
         let framed = frame(&enc.finish());
-        if let Err(e) = wal::write_atomic(&self.dir, SNAP_FILE, &framed, &self.opts.crash) {
+        if let Err(e) = wal::write_atomic(
+            &self.dir,
+            SNAP_FILE,
+            &framed,
+            &self.opts.crash,
+            &mut inner.syncs,
+        ) {
             inner.dead = true;
             return Err(e);
         }
@@ -391,7 +419,10 @@ impl Store {
             }
         };
         let header = header_frame(generation);
-        if let Err(e) = inner.wal.append(&header, &self.opts.crash) {
+        if let Err(e) = inner
+            .wal
+            .append(&header, &self.opts.crash, &mut inner.syncs)
+        {
             inner.dead = true;
             return Err(e);
         }
@@ -429,6 +460,14 @@ impl Store {
     /// crash-sim sweep walks.
     pub fn bytes_written(&self) -> u64 {
         self.inner.lock().written
+    }
+
+    /// File syncs this session issued: one per WAL write, and per
+    /// compaction two for the snapshot's temp file (data, then data and
+    /// metadata) and one for the directory. Deterministic for a given record sequence, so a change
+    /// in how often the store syncs shows on any machine.
+    pub fn syncs(&self) -> u64 {
+        self.inner.lock().syncs
     }
 
     /// True once a crash killed this store (writes are refused).

@@ -16,14 +16,21 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Writes as much of `bytes` as the crash switch admits, syncing what was
-/// written. Returns `Ok(())` only if *everything* was admitted; a short
-/// write persists the admitted prefix and reports the crash.
-fn write_crashable(file: &mut File, bytes: &[u8], crash: &CrashSwitch) -> Result<()> {
+/// written (one sync, counted in `syncs`). Returns `Ok(())` only if
+/// *everything* was admitted; a short write persists the admitted prefix
+/// and reports the crash.
+fn write_crashable(
+    file: &mut File,
+    bytes: &[u8],
+    crash: &CrashSwitch,
+    syncs: &mut u64,
+) -> Result<()> {
     let allowed = crash.admit(bytes.len());
     if allowed > 0 {
         file.write_all(&bytes[..allowed])
             .map_err(|e| Error::Store(format!("write failed: {e}")))?;
     }
+    *syncs += 1;
     file.sync_data()
         .map_err(|e| Error::Store(format!("fsync failed: {e}")))?;
     if allowed < bytes.len() {
@@ -66,11 +73,11 @@ impl LogFile {
     }
 
     /// Appends `bytes` (one framed record), honoring the crash switch.
-    pub fn append(&mut self, bytes: &[u8], crash: &CrashSwitch) -> Result<()> {
+    pub fn append(&mut self, bytes: &[u8], crash: &CrashSwitch, syncs: &mut u64) -> Result<()> {
         if self.dead {
             return Err(Error::Store("store is dead after a crash".into()));
         }
-        match write_crashable(&mut self.file, bytes, crash) {
+        match write_crashable(&mut self.file, bytes, crash, syncs) {
             Ok(()) => {
                 self.len += bytes.len() as u64;
                 Ok(())
@@ -96,18 +103,21 @@ impl LogFile {
 /// Atomically replaces `dir/name` with `bytes`: write `name.tmp`, fsync,
 /// rename over the target, fsync the directory. A crash at any byte
 /// boundary leaves either the old file (tmp torn or complete but not yet
-/// renamed) or the new one — never a half-written target.
+/// renamed) or the new one — never a half-written target. Every sync
+/// issued is counted in `syncs`.
 pub(crate) fn write_atomic(
     dir: &Path,
     name: &str,
     bytes: &[u8],
     crash: &CrashSwitch,
+    syncs: &mut u64,
 ) -> Result<()> {
     let tmp = dir.join(format!("{name}.tmp"));
     let target = dir.join(name);
     let mut file =
         File::create(&tmp).map_err(|e| Error::Store(format!("create {}: {e}", tmp.display())))?;
-    write_crashable(&mut file, bytes, crash)?;
+    write_crashable(&mut file, bytes, crash, syncs)?;
+    *syncs += 1;
     file.sync_all()
         .map_err(|e| Error::Store(format!("fsync {}: {e}", tmp.display())))?;
     drop(file);
@@ -120,6 +130,7 @@ pub(crate) fn write_atomic(
     std::fs::rename(&tmp, &target)
         .map_err(|e| Error::Store(format!("rename {}: {e}", target.display())))?;
     if let Ok(d) = File::open(dir) {
+        *syncs += 1;
         let _ = d.sync_all(); // best-effort directory durability
     }
     Ok(())
@@ -149,9 +160,13 @@ mod tests {
         let dir = TempDir::new("wal-append");
         let path = dir.path().join("log");
         let mut log = LogFile::open_at(&path, 0).unwrap();
-        log.append(b"hello", &CrashSwitch::disabled()).unwrap();
-        log.append(b" world", &CrashSwitch::disabled()).unwrap();
+        let mut syncs = 0;
+        log.append(b"hello", &CrashSwitch::disabled(), &mut syncs)
+            .unwrap();
+        log.append(b" world", &CrashSwitch::disabled(), &mut syncs)
+            .unwrap();
         assert_eq!(log.len(), 11);
+        assert_eq!(syncs, 2, "one sync per append");
         drop(log);
         assert_eq!(std::fs::read(&path).unwrap(), b"hello world");
         // Reopen at a shorter committed length: the tail is discarded.
@@ -167,11 +182,16 @@ mod tests {
         let path = dir.path().join("log");
         let mut log = LogFile::open_at(&path, 0).unwrap();
         let crash = CrashSwitch::armed(StoreCrash { after_bytes: 7 });
-        log.append(b"0123", &crash).unwrap();
-        let err = log.append(b"456789", &crash).unwrap_err();
+        let mut syncs = 0;
+        log.append(b"0123", &crash, &mut syncs).unwrap();
+        let err = log.append(b"456789", &crash, &mut syncs).unwrap_err();
         assert!(matches!(err, Error::Store(_)));
         assert!(log.is_dead());
-        assert!(log.append(b"x", &crash).is_err(), "dead log stays dead");
+        assert!(
+            log.append(b"x", &crash, &mut syncs).is_err(),
+            "dead log stays dead"
+        );
+        assert_eq!(syncs, 2, "a dead log issues no sync");
         drop(log);
         assert_eq!(
             std::fs::read(&path).unwrap(),
@@ -190,7 +210,7 @@ mod tests {
             let crash = CrashSwitch::armed(StoreCrash {
                 after_bytes: budget,
             });
-            let result = write_atomic(dir.path(), "snap", payload, &crash);
+            let result = write_atomic(dir.path(), "snap", payload, &crash, &mut 0);
             let on_disk = std::fs::read(dir.path().join("snap")).unwrap();
             if result.is_ok() {
                 assert_eq!(on_disk, payload, "budget {budget}");

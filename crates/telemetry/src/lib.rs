@@ -148,6 +148,9 @@ pub mod names {
     /// Store appends that failed (dead or crashed store); the pipeline
     /// keeps running — persistence is best-effort, never load-bearing.
     pub const STORE_APPEND_FAILURES: &str = "store.append_failures";
+    /// File syncs the store issued: WAL writes, and each compaction's
+    /// snapshot temp file and directory.
+    pub const STORE_SYNCS: &str = "store.syncs";
     /// Warm restarts: sessions hydrated from a recovered store.
     pub const STORE_WARM_RESTARTS: &str = "store.warm_restarts";
     /// Blocks whose single-cut enumeration was truncated by the
