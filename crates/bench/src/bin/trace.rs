@@ -23,7 +23,8 @@
 //! With a non-zero `fault_rate`, pipeline-level faults (CAD stage crashes,
 //! ICAP corruption, poisoned cache entries) are injected at that rate;
 //! worker stall/death sites stay off so a report always arrives (the
-//! `chaos` binary covers those).
+//! `pipeline` bench topic gates those as `pipeline.death` and
+//! `pipeline.stall`).
 
 use jitise_apps::App;
 use jitise_base::SimTime;

@@ -288,11 +288,12 @@ impl SpecializeReport {
     }
 
     /// Deterministic digest of every observable field. Two runs are
-    /// byte-identical iff their fingerprints match — the chaos harness
-    /// uses this to prove a zero-rate injector is observationally
-    /// transparent, and the parallel-determinism suite to prove the
-    /// scheduler is schedule-oblivious. `makespan` and `cad_workers` are
-    /// deliberately excluded: they vary with the lane count by design.
+    /// byte-identical iff their fingerprints match — the `pipeline` bench
+    /// topic's chaos section uses this to prove a zero-rate injector is
+    /// observationally transparent, and the parallel-determinism suite to
+    /// prove the scheduler is schedule-oblivious. `makespan` and
+    /// `cad_workers` are deliberately excluded: they vary with the lane
+    /// count by design.
     pub fn fingerprint(&self) -> String {
         format!(
             "sel={} ratio={:016x} hits={} retries={} const={} map={} par={} sum={} \
@@ -371,13 +372,36 @@ pub(crate) fn note_fault(tel: &Telemetry, site: FaultSite, kind: FaultKind) {
     );
 }
 
-/// Journals the record `make` builds from the store, when there is one.
-/// Fire-and-forget: a dead store must never fail the caller; its append
-/// failures are already counted by the store's own telemetry.
-pub(crate) fn journal(store: Option<&Store>, tel: &Telemetry, make: impl FnOnce(&Store) -> Record) {
-    if let Some(store) = store {
-        let _span = tel.span("store.append");
-        let _ = store.append(make(store));
+/// The records of one commit unit (a finalize, an eviction sweep), which
+/// the store appends as one batch: one write and one sync.
+pub(crate) struct Journal<'a> {
+    store: Option<&'a Store>,
+    records: Vec<Record>,
+}
+
+impl<'a> Journal<'a> {
+    pub(crate) fn new(store: Option<&'a Store>) -> Journal<'a> {
+        Journal {
+            store,
+            records: Vec::new(),
+        }
+    }
+
+    /// Queues the record `make` builds from the store, when there is one.
+    pub(crate) fn push(&mut self, make: impl FnOnce(&Store) -> Record) {
+        if let Some(store) = self.store {
+            self.records.push(make(store));
+        }
+    }
+
+    /// Appends the queued records as one batch under one `store.append`
+    /// span. Fire-and-forget: a dead store must never fail the caller; its
+    /// append failures are already counted by the store's own telemetry.
+    pub(crate) fn commit(self, tel: &Telemetry) {
+        if let Some(store) = self.store.filter(|_| !self.records.is_empty()) {
+            let _span = tel.span("store.append");
+            let _ = store.append_all(self.records);
+        }
     }
 }
 
@@ -1103,6 +1127,8 @@ impl<'a> SpecializeSession<'a> {
         let mut upgrades = 0usize;
         let mut upgrades_failed = 0usize;
         let mut total_overlay_time = SimTime::ZERO;
+        // Every record this session commits, appended as one batch.
+        let mut journal = Journal::new(config.store.as_deref());
 
         for (prep, mut cand_span) in prepared.into_iter().zip(spans) {
             let Prepared {
@@ -1224,12 +1250,11 @@ impl<'a> SpecializeSession<'a> {
                                 ("slot", TelValue::U64(slot as u64)),
                             ],
                         );
-                        // Journal the overlay commit now: a crash before the
-                        // upgrade lands must rehydrate this tier.
+                        // Journal the overlay commit ahead of the full one:
+                        // a journal cut between the two must rehydrate this
+                        // tier.
                         if !op.cache_hit {
-                            journal(config.store.as_deref(), &cand_tel, |_| {
-                                Record::CacheEntry(op.entry.clone().into())
-                            });
+                            journal.push(|_| Record::CacheEntry(op.entry.clone().into()));
                         }
                         overlay_slot = Some((slot, op));
                     }
@@ -1349,9 +1374,7 @@ impl<'a> SpecializeSession<'a> {
                                 // to the persistent store (cache hits were
                                 // journaled by the session that generated
                                 // them).
-                                journal(config.store.as_deref(), &cand_tel, |_| {
-                                    Record::CacheEntry(p.entry.clone().into())
-                                });
+                                journal.push(|_| Record::CacheEntry(p.entry.clone().into()));
                             }
                             const_time += p.c2v + p.const_stages;
                             map_time += p.map;
@@ -1420,7 +1443,7 @@ impl<'a> SpecializeSession<'a> {
                             ],
                         );
                         newly_quarantined += 1;
-                        journal(config.store.as_deref(), &cand_tel, |_| Record::Quarantine {
+                        journal.push(|_| Record::Quarantine {
                             signature,
                             reason: error.clone(),
                         });
@@ -1460,8 +1483,9 @@ impl<'a> SpecializeSession<'a> {
         let cpu_time: SimTime = charges.iter().copied().sum();
         debug_assert_eq!(cpu_time, sum_time + fault.total() + total_overlay_time);
 
-        // Journal the cumulative fault-ledger totals (latest-wins on replay).
-        journal(config.store.as_deref(), &tel, |store| {
+        // The cumulative fault-ledger totals (latest-wins on replay) end the
+        // session's batch.
+        journal.push(|store| {
             let prior = store.totals();
             Record::FaultTotals(FaultTotals {
                 sessions: prior.sessions + 1,
@@ -1470,6 +1494,7 @@ impl<'a> SpecializeSession<'a> {
                 fault_time_ns: prior.fault_time_ns.saturating_add(fault.total().as_nanos()),
             })
         });
+        journal.commit(&tel);
         let lanes = config.cad_workers.max(1);
         let makespan = lane_makespan(lanes, &charges);
         root.set_sim_time(cpu_time);

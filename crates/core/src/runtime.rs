@@ -21,7 +21,7 @@
 
 use crate::cache::BitstreamCache;
 use crate::evaluation::EvalContext;
-use crate::pipeline::{journal, note_fault, specialize, SpecializeConfig, SpecializeReport};
+use crate::pipeline::{note_fault, specialize, Journal, SpecializeConfig, SpecializeReport};
 use jitise_base::hash::SigHasher;
 use jitise_base::{Error, Result, SimTime};
 use jitise_cad::OverlayLibrary;
@@ -313,19 +313,25 @@ pub fn worker_fault(
     None
 }
 
-/// Evicts `signature` from the bitstream cache and journals a
-/// [`Record::Evict`] tombstone, so a crash-restart rehydrates the
-/// post-eviction cache. Returns false when the entry was not cached.
+/// Evicts each of `signatures` from the bitstream cache and journals the
+/// removed ones' [`Record::Evict`] tombstones as one batch, so a
+/// crash-restart rehydrates the post-eviction cache. Returns the removed
+/// signatures, in order; the uncached ones are skipped.
 pub fn evict(
     cache: &BitstreamCache,
     store: Option<&Store>,
     tel: &Telemetry,
-    signature: u64,
-) -> bool {
-    let evicted = cache.remove(signature);
-    if evicted {
-        journal(store, tel, |_| Record::Evict { signature });
+    signatures: impl IntoIterator<Item = u64>,
+) -> Vec<u64> {
+    let mut journal = Journal::new(store);
+    let evicted: Vec<u64> = signatures
+        .into_iter()
+        .filter(|&signature| cache.remove(signature))
+        .collect();
+    for &signature in &evicted {
+        journal.push(|_| Record::Evict { signature });
     }
+    journal.commit(tel);
     evicted
 }
 
@@ -955,13 +961,15 @@ impl Session<'_> {
         // Benefit-scored eviction: a CI whose windowed benefit (executions
         // × saved cycles per execution) is zero has stopped earning its
         // cache slot.
-        for &(sig, key, saved) in &self.installed {
-            let benefit = self.window.count_of(key) * saved;
-            if benefit == 0 && evict(self.cache, self.options.store.as_deref(), tel, sig) {
-                self.out.evictions += 1;
-                tel.add(names::RUNTIME_EVICTIONS, 1);
-                tel.event("runtime.evict", &[("signature", TelValue::U64(sig))]);
-            }
+        let cold = self
+            .installed
+            .iter()
+            .filter(|&&(_, key, saved)| self.window.count_of(key) * saved == 0)
+            .map(|&(sig, _, _)| sig);
+        for sig in evict(self.cache, self.options.store.as_deref(), tel, cold) {
+            self.out.evictions += 1;
+            tel.add(names::RUNTIME_EVICTIONS, 1);
+            tel.event("runtime.evict", &[("signature", TelValue::U64(sig))]);
         }
 
         // Bounded re-specialization.

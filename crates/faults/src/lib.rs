@@ -22,9 +22,10 @@
 //!
 //! The disabled injector ([`FaultInjector::disabled`]) is a no-op handle
 //! in the same style as `jitise_telemetry::Telemetry::disabled()`: one
-//! `Option` check per call site, no allocation, and — the bar enforced by
-//! the `chaos` binary — a zero-rate plan is *observationally transparent*
-//! (byte-identical reports to a run without any injector).
+//! `Option` check per call site, no allocation, and — the bar the
+//! `pipeline` bench topic's chaos section enforces — a zero-rate plan is
+//! *observationally transparent* (byte-identical reports to a run without
+//! any injector).
 
 use jitise_base::hash::SigHasher;
 use jitise_base::sync::{Mutex, RwLock};
@@ -416,9 +417,9 @@ impl FaultInjector {
 /// files stop accepting writes after exactly `after_bytes` further bytes
 /// — mid-record, mid-snapshot, wherever the budget lands. This models a
 /// process kill (power loss, OOM-kill, SIGKILL) at an arbitrary write
-/// boundary; the crash-sim harness sweeps `after_bytes` across a full
-/// app run and asserts that recovery always restores exactly the
-/// committed prefix.
+/// boundary; the `pipeline` bench topic's crash section sweeps
+/// `after_bytes` across a full app session and asserts that recovery
+/// always restores exactly the committed prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreCrash {
     /// Write budget in bytes; the write that would exceed it is truncated

@@ -454,11 +454,10 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
                     ledger.note_fresh(c.signature);
                 }
             }
-            for sig in ledger.evict_to(config.cache_capacity) {
-                if evict(&cache, config.store.as_deref(), &tel, sig) {
-                    evictions += 1;
-                    tel.add(names::SERVE_CACHE_EVICTIONS, 1);
-                }
+            let sweep = ledger.evict_to(config.cache_capacity);
+            for _ in evict(&cache, config.store.as_deref(), &tel, sweep) {
+                evictions += 1;
+                tel.add(names::SERVE_CACHE_EVICTIONS, 1);
             }
 
             // Timing post-pass inputs: one pool job per candidate that

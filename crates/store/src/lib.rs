@@ -29,9 +29,14 @@
 //! uncommitted suffix, never a half-applied record.
 //!
 //! Crash points are simulated, not real: every byte headed for disk is
-//! metered through a [`jitise_faults::CrashSwitch`], and the `crashsim`
-//! bench sweeps the crash budget across a whole app session asserting
-//! the committed-prefix invariant at every byte boundary.
+//! metered through a [`jitise_faults::CrashSwitch`], and the `pipeline`
+//! bench topic's crash section sweeps the crash budget across a whole app
+//! session, asserting the committed-prefix invariant at every point.
+//!
+//! Appends are group commits: [`Store::append_all`] writes a batch of
+//! records with one write and one sync, and the bytes on disk are those
+//! of one [`Store::append`] per record, so every crash point is reachable
+//! by budget alone.
 
 pub mod record;
 pub mod tempdir;
@@ -124,7 +129,7 @@ struct Inner {
     /// Records appended this session (fault-injection scope key).
     appended: u64,
     /// Bytes this session pushed through the crash switch — the budget
-    /// axis the crash-sim sweep walks.
+    /// axis the `pipeline` topic's crash section walks.
     written: u64,
     /// File syncs this session issued (see [`Store::syncs`]).
     syncs: u64,
@@ -269,7 +274,7 @@ impl Store {
         } else {
             let mut log = LogFile::open_at(&wal_path, 0)?;
             let header = header_frame(generation);
-            log.append(&header, &opts.crash, &mut syncs)?;
+            log.append_whole(&header, &opts.crash, &mut syncs)?;
             written = header.len() as u64;
             log
         };
@@ -320,56 +325,90 @@ impl Store {
         })
     }
 
-    /// Appends one committed record: frame → (optional fault corruption)
-    /// → crash-metered write + sync → apply to the in-memory state. The
-    /// state is updated *only* when every byte reached the log, so the
-    /// in-memory fold always equals the fold of the on-disk committed
-    /// prefix. May trigger a compaction past the threshold; a compaction
-    /// crash does not un-commit the freshly appended record.
+    /// Appends one record: [`Store::append_all`] of one.
     pub fn append(&self, rec: Record) -> Result<()> {
+        self.append_all(vec![rec])
+    }
+
+    /// Appends `records` in order by group commit: one write and one sync
+    /// per group, through the crash switch. A record is acknowledged when
+    /// its group's sync returns, and the in-memory fold gains exactly the
+    /// records whose every byte reached the log, so at every group
+    /// boundary it equals the fold of the on-disk committed prefix.
+    ///
+    /// The bytes are those one [`Store::append`] per record writes: each
+    /// record is framed and exposed to [`FaultSite::StoreWal`] under its
+    /// own index, and a group ends right after the record that takes the
+    /// WAL past the compaction threshold, where compaction runs. A write
+    /// cut by a crash commits the records before the cut and kills the
+    /// store: the cut record and every later one fail, even one that would
+    /// have fit. A compaction crash does not un-commit the group before it.
+    pub fn append_all(&self, records: Vec<Record>) -> Result<()> {
+        let total = records.len() as u64;
         let mut inner = self.inner.lock();
-        let syncs = inner.syncs;
-        let result = self.append_locked(&mut inner, rec);
-        self.opts
-            .telemetry
-            .add(names::STORE_SYNCS, inner.syncs - syncs);
+        let (appended, syncs) = (inner.appended, inner.syncs);
+        let result = self.commit_groups(&mut inner, records);
+        let committed = inner.appended - appended;
+        self.count(names::STORE_RECORDS_APPENDED, committed);
+        self.count(names::STORE_APPEND_FAILURES, total - committed);
+        self.count(names::STORE_SYNCS, inner.syncs - syncs);
         result
     }
 
-    fn append_locked(&self, inner: &mut Inner, rec: Record) -> Result<()> {
-        if inner.dead || inner.wal.is_dead() {
-            self.opts.telemetry.add(names::STORE_APPEND_FAILURES, 1);
-            return Err(Error::Store("store is dead after a crash".into()));
+    /// Adds `n` to the telemetry counter `name` when it moved.
+    fn count(&self, name: &'static str, n: u64) {
+        if n > 0 {
+            self.opts.telemetry.add(name, n);
         }
-        let mut framed = frame(&rec.encode());
-        // Silent media corruption: the in-session write "succeeds", the
-        // damage only surfaces as a CRC drop on recovery.
-        self.opts
-            .faults
-            .scope(inner.appended, 1)
-            .corrupt(FaultSite::StoreWal, &mut framed);
-        match inner
-            .wal
-            .append(&framed, &self.opts.crash, &mut inner.syncs)
-        {
-            Ok(()) => {
-                inner.written += framed.len() as u64;
+    }
+
+    fn commit_groups(&self, inner: &mut Inner, records: Vec<Record>) -> Result<()> {
+        let mut records = records.into_iter();
+        while records.len() > 0 {
+            if inner.dead || inner.wal.is_dead() {
+                return Err(Error::Store("store is dead after a crash".into()));
+            }
+            let mut group = Vec::new();
+            let mut bytes = Vec::new();
+            for rec in records.by_ref() {
+                let mut framed = frame(&rec.encode());
+                // Silent media corruption: the in-session write "succeeds",
+                // the damage only surfaces as a CRC drop on recovery.
+                self.opts
+                    .faults
+                    .scope(inner.appended + group.len() as u64, 1)
+                    .corrupt(FaultSite::StoreWal, &mut framed);
+                bytes.extend_from_slice(&framed);
+                group.push((rec, framed.len()));
+                if inner.wal.len() + bytes.len() as u64 > self.opts.compact_threshold {
+                    break;
+                }
+            }
+            let admitted = inner
+                .wal
+                .append(&bytes, &self.opts.crash, &mut inner.syncs)?;
+            // Commit the records the switch admitted in full; the first one
+            // it cut ends the commit.
+            let mut left = admitted;
+            for (rec, len) in group {
+                if len > left {
+                    break;
+                }
+                left -= len;
+                inner.written += len as u64;
                 inner.appended += 1;
                 inner.state.apply(rec);
-                self.opts.telemetry.add(names::STORE_RECORDS_APPENDED, 1);
-                if inner.wal.len() > self.opts.compact_threshold {
-                    // The record is committed either way; a compaction
-                    // crash just kills the store for later writes.
-                    let _ = self.compact_locked(inner);
-                }
-                Ok(())
             }
-            Err(e) => {
-                inner.dead = true;
-                self.opts.telemetry.add(names::STORE_APPEND_FAILURES, 1);
-                Err(e)
+            if admitted < bytes.len() {
+                return Err(wal::crashed(admitted, bytes.len()));
+            }
+            if inner.wal.len() > self.opts.compact_threshold {
+                // The group is committed either way; a compaction crash
+                // just kills the store for later writes.
+                let _ = self.compact_locked(inner);
             }
         }
+        Ok(())
     }
 
     /// Folds the WAL into a fresh snapshot generation and resets the log.
@@ -377,9 +416,7 @@ impl Store {
         let mut inner = self.inner.lock();
         let syncs = inner.syncs;
         let result = self.compact_locked(&mut inner);
-        self.opts
-            .telemetry
-            .add(names::STORE_SYNCS, inner.syncs - syncs);
+        self.count(names::STORE_SYNCS, inner.syncs - syncs);
         result
     }
 
@@ -421,7 +458,7 @@ impl Store {
         let header = header_frame(generation);
         if let Err(e) = inner
             .wal
-            .append(&header, &self.opts.crash, &mut inner.syncs)
+            .append_whole(&header, &self.opts.crash, &mut inner.syncs)
         {
             inner.dead = true;
             return Err(e);
@@ -457,15 +494,16 @@ impl Store {
     }
 
     /// Bytes this session pushed through the crash switch — the axis the
-    /// crash-sim sweep walks.
+    /// `pipeline` bench topic's crash section walks.
     pub fn bytes_written(&self) -> u64 {
         self.inner.lock().written
     }
 
-    /// File syncs this session issued: one per WAL write, and per
-    /// compaction two for the snapshot's temp file (data, then data and
-    /// metadata) and one for the directory. Deterministic for a given record sequence, so a change
-    /// in how often the store syncs shows on any machine.
+    /// File syncs this session issued: one per WAL group and WAL header,
+    /// and per compaction one for the snapshot's temp file and one for the
+    /// directory. The count depends only on the appends and their
+    /// batches, so a change in how often the store syncs shows on any
+    /// machine.
     pub fn syncs(&self) -> u64 {
         self.inner.lock().syncs
     }
@@ -603,14 +641,88 @@ mod tests {
                         }
                     }
                 }
+                let acked = StoreState::from_records(committed).fingerprint();
                 let store = Store::open(dir.path()).unwrap();
                 assert_eq!(
                     store.fingerprint(),
-                    StoreState::from_records(committed).fingerprint(),
+                    acked,
                     "threshold {threshold}, budget {budget} of {total}"
                 );
+                // One batch of the same records writes the same bytes, so
+                // it commits the same prefix, and its live fold is what
+                // recovery restores.
+                let batch_dir = TempDir::new("sweep-batch");
+                let crash = CrashSwitch::armed(StoreCrash {
+                    after_bytes: budget,
+                });
+                let live = match Store::open_with(batch_dir.path(), opts_with(crash, threshold)) {
+                    Ok(store) => {
+                        let _ = store.append_all(sample_records());
+                        store.fingerprint()
+                    }
+                    Err(_) => StoreState::default().fingerprint(),
+                };
+                assert_eq!(live, acked, "batch, threshold {threshold}, budget {budget}");
+                let recovered = Store::open(batch_dir.path()).unwrap();
+                assert_eq!(recovered.fingerprint(), live, "batch, budget {budget}");
             }
         }
+    }
+
+    #[test]
+    fn a_record_torn_by_the_budget_fails_the_rest_of_its_batch() {
+        let first = Record::CacheEntry(sample_entry(1));
+        let second = Record::Quarantine {
+            signature: 2,
+            reason: "cad".into(),
+        };
+        let first_len = frame(&first.encode()).len();
+        assert!(frame(&second.encode()).len() < first_len - 1);
+        // The budget admits the header and all but the last byte of the
+        // first record: room enough for the second, which still must not
+        // commit past the torn one.
+        let header = header_frame(0).len();
+        let dir = TempDir::new("torn-batch");
+        let crash = CrashSwitch::armed(StoreCrash {
+            after_bytes: (header + first_len - 1) as u64,
+        });
+        let store = Store::open_with(dir.path(), opts_with(crash, u64::MAX)).unwrap();
+        assert!(store.append_all(vec![first, second]).is_err());
+        assert!(store.is_dead());
+        assert!(store.state().is_empty(), "neither record commits");
+        assert_eq!(store.bytes_written(), header as u64);
+        drop(store);
+        let store = Store::open(dir.path()).unwrap();
+        assert!(store.state().is_empty());
+        assert_eq!(store.recovery().torn_tails_dropped, 1);
+    }
+
+    #[test]
+    fn a_batch_is_one_write_and_one_sync() {
+        let dir = TempDir::new("batch-syncs");
+        let tel = Telemetry::enabled();
+        let store = Store::open_with(
+            dir.path(),
+            StoreOptions {
+                telemetry: tel.clone(),
+                ..StoreOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(store.syncs(), 1, "the fresh WAL header");
+        store.append_all(sample_records()).unwrap();
+        assert_eq!(store.syncs(), 2);
+        store.append(Record::CacheEntry(sample_entry(9))).unwrap();
+        assert_eq!(store.syncs(), 3);
+        store.append_all(Vec::new()).unwrap();
+        assert_eq!(store.syncs(), 3, "an empty batch writes nothing");
+        // Compaction: the snapshot's temp file, the directory, the header.
+        store.compact().unwrap();
+        assert_eq!(store.syncs(), 6);
+        let snap = tel.snapshot();
+        assert_eq!(snap.counter(names::STORE_SYNCS), 6);
+        assert_eq!(snap.counter(names::STORE_RECORDS_APPENDED), 5);
+        assert_eq!(snap.counter(names::STORE_APPEND_FAILURES), 0);
     }
 
     #[test]

@@ -291,8 +291,9 @@ impl StoreState {
     }
 
     /// Deterministic digest of the full state. Two states are identical
-    /// iff their fingerprints match — the crash-sim harness compares the
-    /// recovered state against the fold of the committed prefix with it.
+    /// iff their fingerprints match — the store's crash tests and the
+    /// `pipeline` bench topic's crash section compare the recovered state
+    /// against the fold of the committed prefix with it.
     pub fn fingerprint(&self) -> String {
         format!(
             "entries={} quarantine={} totals={:?} digest={:016x}",

@@ -1,6 +1,7 @@
 //! A tiny scoped temporary-directory helper for tests, property tests,
-//! and the crash-sim/chaos benches (kept here so no external `tempfile`
-//! dependency is needed). Directories live under the OS temp dir — never
+//! and the `bench` topics' stores, such as the `pipeline` topic's chaos
+//! and crash sections (kept here so no external `tempfile` dependency is
+//! needed). Directories live under the OS temp dir — never
 //! inside the repository — and are removed on drop, which is what the CI
 //! tmpdir-hygiene check relies on.
 

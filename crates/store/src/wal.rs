@@ -6,8 +6,8 @@
 //! dry the write is cut at that exact byte boundary and the file marked
 //! dead — precisely the state a killed process leaves behind. The
 //! recovery scanner in `lib.rs` then has to cope with whatever prefix
-//! made it to the platters, which is the property the crash-sim harness
-//! sweeps.
+//! made it to the platters, which is the property the `pipeline` bench
+//! topic's crash section sweeps.
 
 use jitise_base::{Error, Result};
 use jitise_faults::CrashSwitch;
@@ -15,38 +15,38 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Writes as much of `bytes` as the crash switch admits, syncing what was
-/// written (one sync, counted in `syncs`). Returns `Ok(())` only if
-/// *everything* was admitted; a short write persists the admitted prefix
-/// and reports the crash.
-fn write_crashable(
+/// Writes as much of `bytes` as the crash switch admits with one write,
+/// then syncs the file once (counted in `syncs`), so even a cut write
+/// persists its admitted prefix. Returns how many bytes were admitted; a
+/// short count is the simulated crash.
+fn write_synced(
     file: &mut File,
     bytes: &[u8],
     crash: &CrashSwitch,
     syncs: &mut u64,
-) -> Result<()> {
-    let allowed = crash.admit(bytes.len());
-    if allowed > 0 {
-        file.write_all(&bytes[..allowed])
+) -> Result<usize> {
+    let admitted = crash.admit(bytes.len());
+    if admitted > 0 {
+        file.write_all(&bytes[..admitted])
             .map_err(|e| Error::Store(format!("write failed: {e}")))?;
     }
     *syncs += 1;
     file.sync_data()
         .map_err(|e| Error::Store(format!("fsync failed: {e}")))?;
-    if allowed < bytes.len() {
-        return Err(Error::Store(format!(
-            "simulated crash after {allowed} of {} bytes",
-            bytes.len()
-        )));
-    }
-    Ok(())
+    Ok(admitted)
+}
+
+/// The error of a write the crash switch cut after `admitted` of `len`
+/// bytes.
+pub(crate) fn crashed(admitted: usize, len: usize) -> Error {
+    Error::Store(format!("simulated crash after {admitted} of {len} bytes"))
 }
 
 /// The append-only log file.
 #[derive(Debug)]
 pub(crate) struct LogFile {
     file: File,
-    /// Committed length (bytes fully written and synced).
+    /// Bytes written and synced.
     len: u64,
     /// Once a write was cut short the file is dead: the real process
     /// would be gone, so no further bytes may land.
@@ -72,24 +72,37 @@ impl LogFile {
         })
     }
 
-    /// Appends `bytes` (one framed record), honoring the crash switch.
-    pub fn append(&mut self, bytes: &[u8], crash: &CrashSwitch, syncs: &mut u64) -> Result<()> {
+    /// Appends `bytes` (a group of framed records) with one write and one
+    /// sync, honoring the crash switch. Returns how many bytes the switch
+    /// admitted: a short count is a crash, and the log is dead from then
+    /// on.
+    pub fn append(&mut self, bytes: &[u8], crash: &CrashSwitch, syncs: &mut u64) -> Result<usize> {
         if self.dead {
             return Err(Error::Store("store is dead after a crash".into()));
         }
-        match write_crashable(&mut self.file, bytes, crash, syncs) {
-            Ok(()) => {
-                self.len += bytes.len() as u64;
-                Ok(())
-            }
-            Err(e) => {
-                self.dead = true;
-                Err(e)
-            }
+        let admitted = write_synced(&mut self.file, bytes, crash, syncs);
+        self.dead = !matches!(admitted, Ok(n) if n == bytes.len());
+        if let Ok(n) = admitted {
+            self.len += n as u64;
+        }
+        admitted
+    }
+
+    /// [`LogFile::append`] of bytes that commit only whole (a header
+    /// frame): a short write is an error.
+    pub fn append_whole(
+        &mut self,
+        bytes: &[u8],
+        crash: &CrashSwitch,
+        syncs: &mut u64,
+    ) -> Result<()> {
+        match self.append(bytes, crash, syncs)? {
+            n if n < bytes.len() => Err(crashed(n, bytes.len())),
+            _ => Ok(()),
         }
     }
 
-    /// Committed bytes in the log.
+    /// Bytes in the log.
     pub fn len(&self) -> u64 {
         self.len
     }
@@ -100,8 +113,8 @@ impl LogFile {
     }
 }
 
-/// Atomically replaces `dir/name` with `bytes`: write `name.tmp`, fsync,
-/// rename over the target, fsync the directory. A crash at any byte
+/// Atomically replaces `dir/name` with `bytes`: write `name.tmp`, sync it
+/// once, rename over the target, sync the directory. A crash at any byte
 /// boundary leaves either the old file (tmp torn or complete but not yet
 /// renamed) or the new one — never a half-written target. Every sync
 /// issued is counted in `syncs`.
@@ -116,10 +129,10 @@ pub(crate) fn write_atomic(
     let target = dir.join(name);
     let mut file =
         File::create(&tmp).map_err(|e| Error::Store(format!("create {}: {e}", tmp.display())))?;
-    write_crashable(&mut file, bytes, crash, syncs)?;
-    *syncs += 1;
-    file.sync_all()
-        .map_err(|e| Error::Store(format!("fsync {}: {e}", tmp.display())))?;
+    let admitted = write_synced(&mut file, bytes, crash, syncs)?;
+    if admitted < bytes.len() {
+        return Err(crashed(admitted, bytes.len()));
+    }
     drop(file);
     // The rename is the commit point. Model it as a one-byte "write" so a
     // crash budget landing between the data and the rename leaves the old
@@ -183,9 +196,12 @@ mod tests {
         let mut log = LogFile::open_at(&path, 0).unwrap();
         let crash = CrashSwitch::armed(StoreCrash { after_bytes: 7 });
         let mut syncs = 0;
-        log.append(b"0123", &crash, &mut syncs).unwrap();
-        let err = log.append(b"456789", &crash, &mut syncs).unwrap_err();
-        assert!(matches!(err, Error::Store(_)));
+        assert_eq!(log.append(b"0123", &crash, &mut syncs).unwrap(), 4);
+        assert_eq!(
+            log.append(b"456789", &crash, &mut syncs).unwrap(),
+            3,
+            "the switch reports the admitted prefix"
+        );
         assert!(log.is_dead());
         assert!(
             log.append(b"x", &crash, &mut syncs).is_err(),
@@ -210,10 +226,15 @@ mod tests {
             let crash = CrashSwitch::armed(StoreCrash {
                 after_bytes: budget,
             });
-            let result = write_atomic(dir.path(), "snap", payload, &crash, &mut 0);
+            let mut syncs = 0;
+            let result = write_atomic(dir.path(), "snap", payload, &crash, &mut syncs);
             let on_disk = std::fs::read(dir.path().join("snap")).unwrap();
             if result.is_ok() {
                 assert_eq!(on_disk, payload, "budget {budget}");
+                assert_eq!(
+                    syncs, 2,
+                    "one sync for the temp file, one for the directory"
+                );
                 // Restore the old file for the next sweep point.
                 std::fs::write(dir.path().join("snap"), b"OLD").unwrap();
             } else {

@@ -4,10 +4,11 @@
 //! the longest committed record prefix — never more, never less, never
 //! an error.
 
-use jitise_faults::{CrashSwitch, StoreCrash};
+use jitise_faults::{CrashSwitch, FaultInjector, FaultPlan, FaultSite, StoreCrash};
 use jitise_store::tempdir::TempDir;
 use jitise_store::testfix::sample_entry;
-use jitise_store::{FaultTotals, Record, Store, StoreOptions, StoreState};
+use jitise_store::{FaultTotals, Record, RecoveryReport, Store, StoreOptions, StoreState};
+use jitise_telemetry::{names, Telemetry};
 use proptest::prelude::*;
 
 /// Maps a `(kind, sig)` draw onto one of the three record shapes.
@@ -55,6 +56,65 @@ fn commit_boundaries(records: &[Record]) -> Vec<usize> {
         bounds.push(std::fs::metadata(&wal).expect("wal exists").len() as usize);
     }
     bounds
+}
+
+/// Everything one session leaves behind that batching must not change.
+#[derive(Debug, PartialEq)]
+struct Twin {
+    wal: Option<Vec<u8>>,
+    snapshot: Option<Vec<u8>>,
+    written: u64,
+    live: String,
+    appended: u64,
+    failures: u64,
+    recovery: RecoveryReport,
+    recovered: String,
+}
+
+/// Runs `batches` through a store at `dir`, one `append_all` per batch or
+/// one `append` per record, then reopens the directory. Returns what the
+/// session left behind and its sync count.
+fn twin_session(
+    dir: &TempDir,
+    opts: StoreOptions,
+    batches: &[Vec<Record>],
+    batched: bool,
+) -> (Twin, u64) {
+    let tel = Telemetry::enabled();
+    let opts = StoreOptions {
+        telemetry: tel.clone(),
+        ..opts
+    };
+    let (live, written, syncs) = match Store::open_with(dir.path(), opts) {
+        Ok(store) => {
+            for batch in batches {
+                if batched {
+                    let _ = store.append_all(batch.clone());
+                } else {
+                    for rec in batch {
+                        let _ = store.append(rec.clone());
+                    }
+                }
+            }
+            (store.fingerprint(), store.bytes_written(), store.syncs())
+        }
+        Err(_) => (StoreState::default().fingerprint(), 0, 0),
+    };
+    let file = |name: &str| std::fs::read(dir.path().join(name)).ok();
+    let (wal, snapshot) = (file("wal.log"), file("snapshot.bin"));
+    let recovered = Store::open(dir.path()).expect("recovery never fails");
+    let snap = tel.snapshot();
+    let twin = Twin {
+        wal,
+        snapshot,
+        written,
+        live,
+        appended: snap.counter(names::STORE_RECORDS_APPENDED),
+        failures: snap.counter(names::STORE_APPEND_FAILURES),
+        recovery: recovered.recovery().clone(),
+        recovered: recovered.fingerprint(),
+    };
+    (twin, syncs)
 }
 
 /// Fingerprints of every prefix fold of `records` (0..=n records).
@@ -168,5 +228,61 @@ proptest! {
             StoreState::from_records(committed).fingerprint(),
             "budget {} of {}", budget, total
         );
+    }
+
+    #[test]
+    fn batches_write_what_per_record_appends_write(
+        draws in prop::collection::vec((0u8..3, 1u64..64), 1..16),
+        splits in prop::collection::vec(0u8..3, 16..17),
+        threshold in 0u64..600,
+        crash in (any::<bool>(), 0.0f64..1.0),
+        wal_rate in prop::sample::select(vec![0.0, 0.3, 1.0]),
+    ) {
+        let records = mk_records(&draws);
+        // Cut the sequence into batches wherever a split draw is 0.
+        let mut batches = vec![Vec::new()];
+        for (rec, split) in records.iter().zip(&splits) {
+            batches.last_mut().expect("one batch").push(rec.clone());
+            if *split == 0 {
+                batches.push(Vec::new());
+            }
+        }
+        let faults = || {
+            FaultInjector::from_plan(
+                FaultPlan::none(draws[0].1).with_rate(FaultSite::StoreWal, wal_rate),
+            )
+        };
+        let opts = |crash: CrashSwitch| StoreOptions {
+            compact_threshold: threshold,
+            crash,
+            faults: faults(),
+            ..StoreOptions::default()
+        };
+        // Scale the crash budget to the clean session's write volume.
+        let total = {
+            let dir = TempDir::new("prop-twin-probe");
+            let store = Store::open_with(dir.path(), opts(CrashSwitch::disabled())).expect("open");
+            for rec in &records {
+                let _ = store.append(rec.clone());
+            }
+            store.bytes_written()
+        };
+        let switch = || match crash {
+            (true, frac) => CrashSwitch::armed(StoreCrash {
+                after_bytes: (frac * total as f64) as u64,
+            }),
+            (false, _) => CrashSwitch::disabled(),
+        };
+        let (each_dir, batch_dir) = (TempDir::new("prop-twin-each"), TempDir::new("prop-twin-batch"));
+        let (each, each_syncs) = twin_session(&each_dir, opts(switch()), &batches, false);
+        let (batched, batch_syncs) = twin_session(&batch_dir, opts(switch()), &batches, true);
+        let context = format!("threshold {threshold} crash {crash:?} of {total} rate {wal_rate}");
+        if wal_rate == 0.0 {
+            // Corruption is silent in-session, so only a clean log must
+            // recover exactly what was acknowledged.
+            prop_assert_eq!(&batched.recovered, &batched.live, "recovered != acknowledged: {}", context);
+        }
+        prop_assert_eq!(batched, each, "{}", context);
+        prop_assert!(batch_syncs <= each_syncs, "{}", context);
     }
 }
