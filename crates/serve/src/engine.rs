@@ -39,7 +39,7 @@ use jitise_faults::{FaultInjector, Quarantine, RetryPolicy};
 use jitise_ir::Module;
 use jitise_ise::{SearchConfig, SearchMemo};
 use jitise_store::Store;
-use jitise_telemetry::{names, HistogramSnapshot, Telemetry, Value as TelValue};
+use jitise_telemetry::{names, sorted_quantile, Telemetry, Value as TelValue};
 use jitise_vm::Value;
 use jitise_woolcano::Woolcano;
 use std::collections::{HashMap, VecDeque};
@@ -175,9 +175,10 @@ pub struct FleetTiming {
     pub cad_workers: usize,
     /// Latest CAD completion across the fleet.
     pub makespan: SimTime,
-    /// Median time-to-first-speedup across sped-up tenants, µs.
+    /// Median time-to-first-speedup across sped-up tenants, µs: the
+    /// exact nearest-rank value.
     pub ttfs_p50_us: u64,
-    /// 99th-percentile time-to-first-speedup, µs.
+    /// 99th-percentile time-to-first-speedup, µs (exact nearest rank).
     pub ttfs_p99_us: u64,
     /// Peak ready-but-undispatched CAD backlog.
     pub max_queue_depth: usize,
@@ -553,12 +554,12 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
         ttfs_us.push(us);
         tel.observe(names::SERVE_TTFS_US, us);
     }
-    let hist = HistogramSnapshot::from_values("serve.ttfs_us", &ttfs_us);
+    ttfs_us.sort_unstable();
     let timing = FleetTiming {
         cad_workers: drr.lanes,
         makespan: schedule.makespan,
-        ttfs_p50_us: hist.quantile(0.5),
-        ttfs_p99_us: hist.quantile(0.99),
+        ttfs_p50_us: sorted_quantile(&ttfs_us, 0.5),
+        ttfs_p99_us: sorted_quantile(&ttfs_us, 0.99),
         max_queue_depth: schedule.max_queue_depth,
         max_rounds_waited: max_rounds,
         pool_jobs: pool_jobs.len(),

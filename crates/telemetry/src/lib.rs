@@ -54,7 +54,7 @@ mod snapshot;
 mod span;
 
 pub use journal::{EventRecord, Value};
-pub use metrics::{HistogramSnapshot, HISTOGRAM_BUCKETS};
+pub use metrics::{sorted_quantile, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use profiler::{Profiler, StackLine, StackWeight, StageRollup};
 pub use snapshot::{PhaseTotal, Snapshot};
 pub use span::{Span, SpanRecord};

@@ -132,7 +132,7 @@ impl HistogramSnapshot {
         if self.count == 0 {
             return 0;
         }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let rank = nearest_rank(q, self.count);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
@@ -145,6 +145,25 @@ impl HistogramSnapshot {
             }
         }
         self.max
+    }
+}
+
+/// The 1-based rank of the `q`-quantile among `count > 0` observations:
+/// `ceil(q * count)`, with `q` clamped to `[0, 1]` and the rank to
+/// `[1, count]`. Both quantile readers here use this rule.
+fn nearest_rank(q: f64, count: u64) -> u64 {
+    ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count)
+}
+
+/// The exact `q`-quantile of ascending `sorted`: the value of nearest
+/// rank, by the rank rule of [`HistogramSnapshot::quantile`]; 0 when
+/// empty. For series the caller holds in full, where a bucket bound would
+/// read up to 2× the true value.
+pub fn sorted_quantile(sorted: &[u64], q: f64) -> u64 {
+    debug_assert!(sorted.is_sorted(), "sorted_quantile needs ascending values");
+    match sorted.len() as u64 {
+        0 => 0,
+        n => sorted[nearest_rank(q, n) as usize - 1],
     }
 }
 
@@ -279,6 +298,19 @@ mod tests {
         assert_eq!(h.quantile(0.25), 3); // rank 2 -> value 2 -> bucket 2 -> bound 4 - 1
         assert_eq!(h.quantile(0.5), 7); // rank 4 -> value 4 -> bucket 3 -> bound 8 - 1
         assert_eq!(h.quantile(1.0), 8); // clamped to max, not bucket 4's 15
+    }
+
+    #[test]
+    fn sorted_quantile_is_the_exact_nearest_rank_value() {
+        let values = [1, 2, 3, 4, 100, 100, 100, 100];
+        let h = HistogramSnapshot::from_values("q", &values);
+        // Same ranks as the bucket reader, exact values instead of bounds.
+        for (q, exact, bound) in [(0.0, 1, 1), (0.25, 2, 3), (0.5, 4, 7), (0.9, 100, 100)] {
+            assert_eq!(sorted_quantile(&values, q), exact, "q {q}");
+            assert_eq!(h.quantile(q), bound, "q {q}");
+        }
+        assert_eq!(sorted_quantile(&[1040], 0.99), 1040);
+        assert_eq!(sorted_quantile(&[], 0.5), 0);
     }
 
     #[test]
