@@ -15,24 +15,15 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Writes as much of `bytes` as the crash switch admits with one write,
-/// then syncs the file once (counted in `syncs`), so even a cut write
-/// persists its admitted prefix. Returns how many bytes were admitted; a
-/// short count is the simulated crash.
-fn write_synced(
-    file: &mut File,
-    bytes: &[u8],
-    crash: &CrashSwitch,
-    syncs: &mut u64,
-) -> Result<usize> {
+/// Writes as much of `bytes` as the crash switch admits, with one write.
+/// Returns how many bytes were admitted; a short count is the simulated
+/// crash, whose admitted prefix the caller still syncs.
+fn write_admitted(file: &mut File, bytes: &[u8], crash: &CrashSwitch) -> Result<usize> {
     let admitted = crash.admit(bytes.len());
     if admitted > 0 {
         file.write_all(&bytes[..admitted])
             .map_err(|e| Error::Store(format!("write failed: {e}")))?;
     }
-    *syncs += 1;
-    file.sync_data()
-        .map_err(|e| Error::Store(format!("fsync failed: {e}")))?;
     Ok(admitted)
 }
 
@@ -80,7 +71,13 @@ impl LogFile {
         if self.dead {
             return Err(Error::Store("store is dead after a crash".into()));
         }
-        let admitted = write_synced(&mut self.file, bytes, crash, syncs);
+        let admitted = write_admitted(&mut self.file, bytes, crash).and_then(|n| {
+            *syncs += 1;
+            self.file
+                .sync_data()
+                .map_err(|e| Error::Store(format!("fsync failed: {e}")))?;
+            Ok(n)
+        });
         self.dead = !matches!(admitted, Ok(n) if n == bytes.len());
         if let Ok(n) = admitted {
             self.len += n as u64;
@@ -129,7 +126,10 @@ pub(crate) fn write_atomic(
     let target = dir.join(name);
     let mut file =
         File::create(&tmp).map_err(|e| Error::Store(format!("create {}: {e}", tmp.display())))?;
-    let admitted = write_synced(&mut file, bytes, crash, syncs)?;
+    let admitted = write_admitted(&mut file, bytes, crash)?;
+    *syncs += 1;
+    file.sync_all()
+        .map_err(|e| Error::Store(format!("fsync {}: {e}", tmp.display())))?;
     if admitted < bytes.len() {
         return Err(crashed(admitted, bytes.len()));
     }
