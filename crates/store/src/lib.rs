@@ -123,8 +123,9 @@ struct Inner {
     state: StoreState,
     wal: LogFile,
     generation: u64,
-    /// Set when a crash (or a failed compaction) killed the store; all
-    /// further writes are refused, mirroring a dead process.
+    /// Set when a compaction failed or crashed (a crash inside a WAL write
+    /// kills `wal` itself); either way all further writes are refused,
+    /// mirroring a dead process.
     dead: bool,
     /// Records appended this session (fault-injection scope key).
     appended: u64,
