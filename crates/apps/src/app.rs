@@ -10,8 +10,9 @@ use crate::profile::{paper_profile, AppProfile, Domain};
 use crate::synth;
 use jitise_base::SimTime;
 use jitise_ir::Module;
+use jitise_vm::cost::cycles_to_time;
 use jitise_vm::exec_model::ExecModel;
-use jitise_vm::{CostModel, Interpreter, PredecodedModule, Profile, RunConfig, Value, VmTier};
+use jitise_vm::{Interpreter, PredecodedModule, Profile, Value, VmTier};
 use std::sync::Arc;
 
 /// One input data set.
@@ -89,7 +90,7 @@ impl App {
     /// Runs one dataset on the given execution tier. Both tiers produce
     /// bit-identical profiles; the fast tier just gets there sooner.
     pub fn run_dataset_tier(&self, idx: usize, tier: VmTier) -> Profile {
-        let mut vm = self.vm();
+        let mut vm = Interpreter::new(&self.module);
         vm.set_tier(tier);
         self.profile_on(&mut vm, idx)
     }
@@ -103,11 +104,10 @@ impl App {
     /// Profiles every dataset on the given execution tier. On the fast
     /// tier the module is pre-decoded once and shared by every dataset.
     pub fn profile_all_datasets_tier(&self, tier: VmTier) -> Vec<Profile> {
-        let pd = (tier == VmTier::Fast)
-            .then(|| Arc::new(PredecodedModule::build(&self.module, &CostModel::ppc405())));
+        let pd = (tier == VmTier::Fast).then(|| Arc::new(PredecodedModule::build(&self.module)));
         (0..self.datasets.len())
             .map(|i| {
-                let mut vm = self.vm();
+                let mut vm = Interpreter::new(&self.module);
                 match &pd {
                     Some(pd) => vm.set_predecoded(Arc::clone(pd)),
                     None => vm.set_tier(tier),
@@ -115,11 +115,6 @@ impl App {
                 self.profile_on(&mut vm, i)
             })
             .collect()
-    }
-
-    /// A fresh VM over this app's module with the PPC405 cost model.
-    fn vm(&self) -> Interpreter<'_> {
-        Interpreter::with_config(&self.module, CostModel::ppc405(), RunConfig::default())
     }
 
     /// Runs dataset `idx` on `vm` and takes the resulting profile.
@@ -136,8 +131,7 @@ impl App {
     /// interpret 1:1; we run a shortened input and scale the profile (see
     /// DESIGN.md §1).
     pub fn time_scale(&self, measured: &Profile) -> u64 {
-        let cost = jitise_vm::CostModel::ppc405();
-        let measured_time = cost.cycles_to_time(measured.total_cycles());
+        let measured_time = cycles_to_time(measured.total_cycles());
         if measured_time == SimTime::ZERO {
             return 1;
         }
@@ -210,7 +204,7 @@ mod tests {
         let scale = app.time_scale(&p);
         assert!(scale >= 1);
         let scaled = p.scaled(scale);
-        let t = jitise_vm::CostModel::ppc405().cycles_to_time(scaled.total_cycles());
+        let t = cycles_to_time(scaled.total_cycles());
         let target = app.paper().native_s;
         // Integer scaling: within a factor of 2 of the target runtime.
         assert!(

@@ -6,18 +6,14 @@
 //! §15).
 
 use jitise_apps::App;
-use jitise_vm::{CostModel, Interpreter, RunConfig, VmTier};
+use jitise_vm::{Interpreter, VmTier};
 
 #[test]
 fn all_apps_identical_across_tiers() {
     for app in App::all() {
         for (idx, ds) in app.datasets.iter().enumerate() {
             let run = |tier: VmTier| {
-                let mut vm = Interpreter::with_config(
-                    &app.module,
-                    CostModel::ppc405(),
-                    RunConfig::default(),
-                );
+                let mut vm = Interpreter::new(&app.module);
                 vm.set_tier(tier);
                 let out = vm.run(app.entry, &ds.args).unwrap_or_else(|e| {
                     panic!("{}/{}: {tier:?} run failed: {e}", app.name, ds.name)

@@ -72,11 +72,6 @@ impl SimTime {
         self.0 as f64 / 1e6
     }
 
-    /// Duration in fractional minutes.
-    pub fn as_mins_f64(self) -> f64 {
-        self.as_secs_f64() / 60.0
-    }
-
     /// Duration in fractional hours.
     pub fn as_hours_f64(self) -> f64 {
         self.as_secs_f64() / 3_600.0

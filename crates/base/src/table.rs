@@ -41,12 +41,6 @@ impl TextTable {
         }
     }
 
-    /// Overrides the alignment of one column.
-    pub fn set_align(&mut self, col: usize, align: Align) -> &mut Self {
-        self.aligns[col] = align;
-        self
-    }
-
     /// Appends a data row. Panics if the arity differs from the header.
     pub fn row<S: Into<String>>(&mut self, cells: Vec<S>) -> &mut Self {
         let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
@@ -65,11 +59,6 @@ impl TextTable {
     pub fn rule(&mut self) -> &mut Self {
         self.rules_before.push(self.rows.len());
         self
-    }
-
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
     }
 
     /// Renders the table to a string.

@@ -76,7 +76,7 @@ use jitise_serve::{run_serve, ServeConfig};
 use jitise_store::testfix::sample_entry;
 use jitise_store::{Record, Store, StoreOptions, StoreState, TempDir};
 use jitise_telemetry::{names, Profiler, Telemetry};
-use jitise_vm::{CostModel, Interpreter, PredecodedModule, Value};
+use jitise_vm::{Interpreter, PredecodedModule, Value};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -490,7 +490,7 @@ fn bench_vm(seed: u64, smoke: bool) -> BenchArtifact {
     // timed region (its one-time cost is reported separately below).
     let pds: Vec<Arc<PredecodedModule>> = built
         .iter()
-        .map(|app| Arc::new(PredecodedModule::build(&app.module, &CostModel::ppc405())))
+        .map(|app| Arc::new(PredecodedModule::build(&app.module)))
         .collect();
 
     let mut total_steps = 0u64;
@@ -591,7 +591,7 @@ fn bench_vm(seed: u64, smoke: bool) -> BenchArtifact {
     // One-time decode cost for the whole app set, for context.
     let decode_sample = measure_host(reps, || {
         for app in &built {
-            let _ = PredecodedModule::build(&app.module, &CostModel::ppc405());
+            let _ = PredecodedModule::build(&app.module);
         }
     });
     art.info("vm.fast.decode.wall_min_ns", "ns", decode_sample.min_ns);

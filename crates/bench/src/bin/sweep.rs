@@ -9,7 +9,7 @@ use jitise_base::table::{fnum, TextTable};
 use jitise_cad::{run_flow, Fabric, FlowOptions};
 use jitise_core::EvalContext;
 use jitise_ir::{BlockId, Dfg, FuncId, FunctionBuilder, Operand as Op, Type};
-use jitise_ise::{Candidate, ForbiddenPolicy};
+use jitise_ise::Candidate;
 use jitise_pivpav::create_project;
 use jitise_vm::BlockKey;
 
@@ -35,15 +35,9 @@ fn candidate_of(n: usize, heavy: bool) -> (jitise_ir::Function, Dfg, Candidate) 
     b.ret(v);
     let f = b.finish();
     let dfg = Dfg::build(&f, BlockId(0));
-    let cand = jitise_ise::maxmiso(
-        &f,
-        &dfg,
-        BlockKey::new(FuncId(0), BlockId(0)),
-        &ForbiddenPolicy::default(),
-        2,
-    )
-    .candidates
-    .remove(0);
+    let cand = jitise_ise::maxmiso(&f, &dfg, BlockKey::new(FuncId(0), BlockId(0)), 2)
+        .candidates
+        .remove(0);
     (f, dfg, cand)
 }
 

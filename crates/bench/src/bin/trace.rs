@@ -3,7 +3,8 @@
 //!
 //! Usage: `cargo run --release -p jitise-bench --bin trace [app] [runs] [fault_rate] [seed]`
 //!
-//! Writes into `results/`:
+//! Writes into `results/trace/` (untracked: the files carry host times,
+//! so every run rewrites them):
 //!
 //! * `trace_<app>.jsonl` — the structured journal (spans, events,
 //!   counters, gauges, histograms), one JSON object per line;
@@ -167,8 +168,8 @@ fn main() -> ExitCode {
     let snap = telemetry.snapshot();
 
     // ---- exports ----
-    std::fs::create_dir_all("results").expect("mkdir results");
-    let stem = format!("results/trace_{app_name}");
+    std::fs::create_dir_all("results/trace").expect("mkdir results/trace");
+    let stem = format!("results/trace/trace_{app_name}");
     let mut jsonl = BufWriter::new(File::create(format!("{stem}.jsonl")).expect("create jsonl"));
     snap.write_jsonl(&mut jsonl).expect("write jsonl");
     let mut chrome =

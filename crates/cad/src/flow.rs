@@ -45,9 +45,6 @@ pub struct FlowOptions {
     pub eapr: bool,
     /// Placement seed.
     pub seed: u64,
-    /// Tool-speedup factor for §VI-B extrapolations: 0.30 means "30 %
-    /// faster tools", scaling every stage time by 0.70.
-    pub tool_speedup: f64,
     /// Observability handle (disabled by default; zero overhead).
     pub telemetry: Telemetry,
     /// Fault injection handle, already scoped to (candidate, attempt) by
@@ -62,7 +59,6 @@ impl Default for FlowOptions {
             route_effort: RouteEffort::normal(),
             eapr: true,
             seed: 1,
-            tool_speedup: 0.0,
             telemetry: Telemetry::disabled(),
             faults: FaultInjector::disabled(),
         }
@@ -271,9 +267,8 @@ pub fn run_flow_accounted(
     project: &CadProject,
     opts: &FlowOptions,
 ) -> std::result::Result<FlowReport, FlowError> {
-    let scale = (1.0 - opts.tool_speedup).max(0.0);
     let stage = |base: f64, jit: f64, salt: u64| -> SimTime {
-        SimTime::from_secs_f64((base + jit * jitter(&project.name, salt)) * scale)
+        SimTime::from_secs_f64(base + jit * jitter(&project.name, salt))
     };
     let tel = &opts.telemetry;
     let mut spent = FlowCost::default();
@@ -334,7 +329,7 @@ pub fn run_flow_accounted(
     let complexity = metric_complexity.max(netlist_complexity(&flat));
     let norm = (complexity / COMPLEXITY_SATURATION).min(1.0);
     let map_s = MAP_MIN_S + (MAP_MAX_S - MAP_MIN_S) * norm;
-    let map_t = SimTime::from_secs_f64((map_s * (1.0 + 0.02 * jitter(&project.name, 4))) * scale);
+    let map_t = SimTime::from_secs_f64(map_s * (1.0 + 0.02 * jitter(&project.name, 4)));
     map_span.set_sim_time(map_t);
     map_span.field("slices", TelValue::U64(slices as u64));
     tel.observe("cad.complexity", complexity as u64);
@@ -352,9 +347,7 @@ pub fn run_flow_accounted(
     // `cad.route` children carry host time only; SimTime stays on
     // `cad.par`.
     let par_ratio = PAR_RATIO_MIN + (PAR_RATIO_MAX - PAR_RATIO_MIN) * norm;
-    let par_t = SimTime::from_secs_f64(
-        (map_s * par_ratio * (1.0 + 0.02 * jitter(&project.name, 5))) * scale,
-    );
+    let par_t = SimTime::from_secs_f64(map_s * par_ratio * (1.0 + 0.02 * jitter(&project.name, 5)));
     let mut par_span = tel.span("cad.par");
     par_span.set_sim_time(par_t);
     spent.par += par_t;
@@ -439,7 +432,6 @@ pub fn run_flow_accounted(
 mod tests {
     use super::*;
     use jitise_ir::{BlockId, Dfg, FuncId, Function, FunctionBuilder, Operand as Op, Type};
-    use jitise_ise::ForbiddenPolicy;
     use jitise_pivpav::{create_project, CircuitDb, NetlistCache};
     use jitise_vm::BlockKey;
 
@@ -448,15 +440,9 @@ mod tests {
         build(&mut b);
         let f: Function = b.finish();
         let dfg = Dfg::build(&f, BlockId(0));
-        let cand = jitise_ise::maxmiso(
-            &f,
-            &dfg,
-            BlockKey::new(FuncId(0), BlockId(0)),
-            &ForbiddenPolicy::default(),
-            2,
-        )
-        .candidates
-        .remove(0);
+        let cand = jitise_ise::maxmiso(&f, &dfg, BlockKey::new(FuncId(0), BlockId(0)), 2)
+            .candidates
+            .remove(0);
         let db = CircuitDb::build();
         let cache = NetlistCache::new();
         create_project(&db, &cache, &f, &dfg, &cand).unwrap().0
@@ -534,28 +520,6 @@ mod tests {
         assert!(eapr.bitgen.as_secs_f64() > 3.0 * full.bitgen.as_secs_f64());
         assert!(!full.bitstream.partial);
         assert!(full.bitstream.len() > eapr.bitstream.len());
-    }
-
-    #[test]
-    fn tool_speedup_scales_everything() {
-        let fabric = Fabric::pr_region();
-        let p = small_project();
-        let base = run_flow(&fabric, &p, &FlowOptions::fast()).unwrap();
-        let faster = run_flow(
-            &fabric,
-            &p,
-            &FlowOptions {
-                tool_speedup: 0.30,
-                ..FlowOptions::fast()
-            },
-        )
-        .unwrap();
-        let expect = base.total().as_secs_f64() * 0.70;
-        let got = faster.total().as_secs_f64();
-        assert!(
-            (got - expect).abs() / expect < 0.01,
-            "expected ~{expect}, got {got}"
-        );
     }
 
     #[test]

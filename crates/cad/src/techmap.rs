@@ -234,7 +234,6 @@ pub fn netlist_complexity(nl: &Netlist) -> f64 {
 mod tests {
     use super::*;
     use jitise_ir::{BlockId, Dfg, FuncId, FunctionBuilder, Operand as Op, Type};
-    use jitise_ise::ForbiddenPolicy;
     use jitise_pivpav::{create_project, CircuitDb, NetlistCache};
     use jitise_vm::BlockKey;
 
@@ -246,15 +245,9 @@ mod tests {
         b.ret(z);
         let f = b.finish();
         let dfg = Dfg::build(&f, BlockId(0));
-        let cand = jitise_ise::maxmiso(
-            &f,
-            &dfg,
-            BlockKey::new(FuncId(0), BlockId(0)),
-            &ForbiddenPolicy::default(),
-            2,
-        )
-        .candidates
-        .remove(0);
+        let cand = jitise_ise::maxmiso(&f, &dfg, BlockKey::new(FuncId(0), BlockId(0)), 2)
+            .candidates
+            .remove(0);
         let db = CircuitDb::build();
         let cache = NetlistCache::new();
         create_project(&db, &cache, &f, &dfg, &cand).unwrap().0

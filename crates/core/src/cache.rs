@@ -7,65 +7,21 @@
 //! writing the cache. We can, for example, compute a signature of the LLVM
 //! bitcode that describes the candidate."
 //!
-//! The key is [`jitise_ise::Candidate::signature`]; the value carries the
-//! bitstream plus the implementation results needed to reuse it (timing,
-//! stage costs), so a hit skips the *entire* generation pipeline. An
-//! optional on-disk image uses the `jitise-base` codec.
+//! The key is [`jitise_ise::Candidate::signature`]; the value is the
+//! store's [`CiRecord`]: the bitstream plus the implementation results
+//! needed to reuse it (timing, stage costs), so a hit skips the *entire*
+//! generation pipeline. Warm restarts recover entries through
+//! `jitise-store` ([`BitstreamCache::absorb_store`]).
 
-use jitise_base::codec::{Decoder, Encoder};
+use jitise_base::codec::Encoder;
 use jitise_base::sync::RwLock;
-use jitise_base::{Error, Result, SimTime};
-use jitise_cad::{Bitstream, InstallTier, TimingReport};
 use jitise_store::{CiRecord, StoreState};
-use jitise_telemetry::{names, Telemetry, Value as TelValue};
 use std::collections::HashMap;
-
-/// A cached implementation of one custom instruction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachedCi {
-    /// Candidate signature.
-    pub signature: u64,
-    /// The partial bitstream.
-    pub bitstream: Bitstream,
-    /// Implemented timing.
-    pub timing: TimingReport,
-    /// Total generation time this entry saves on a hit (C2V + full flow).
-    pub generation_time: SimTime,
-    /// Which backend produced the bitstream: an overlay assembly (fast to
-    /// install, degraded clock) or the fully routed artifact.
-    pub tier: InstallTier,
-}
-
-impl From<CachedCi> for CiRecord {
-    fn from(e: CachedCi) -> CiRecord {
-        CiRecord {
-            signature: e.signature,
-            bitstream: e.bitstream,
-            timing: e.timing,
-            generation_time: e.generation_time,
-            tier: e.tier,
-        }
-    }
-}
-
-impl From<CiRecord> for CachedCi {
-    fn from(r: CiRecord) -> CachedCi {
-        CachedCi {
-            signature: r.signature,
-            bitstream: r.bitstream,
-            timing: r.timing,
-            generation_time: r.generation_time,
-            tier: r.tier,
-        }
-    }
-}
 
 /// Thread-safe signature-keyed bitstream cache.
 #[derive(Debug, Default)]
 pub struct BitstreamCache {
-    map: RwLock<HashMap<u64, CachedCi>>,
-    hits: RwLock<u64>,
-    misses: RwLock<u64>,
+    map: RwLock<HashMap<u64, CiRecord>>,
 }
 
 impl BitstreamCache {
@@ -74,23 +30,13 @@ impl BitstreamCache {
         Self::default()
     }
 
-    /// Looks up a signature, counting hit/miss.
-    pub fn get(&self, signature: u64) -> Option<CachedCi> {
-        let out = self.map.read().get(&signature).cloned();
-        match out {
-            Some(v) => {
-                *self.hits.write() += 1;
-                Some(v)
-            }
-            None => {
-                *self.misses.write() += 1;
-                None
-            }
-        }
+    /// Looks up a signature.
+    pub fn get(&self, signature: u64) -> Option<CiRecord> {
+        self.map.read().get(&signature).cloned()
     }
 
     /// Inserts an implementation.
-    pub fn put(&self, entry: CachedCi) {
+    pub fn put(&self, entry: CiRecord) {
         self.map.write().insert(entry.signature, entry);
     }
 
@@ -98,11 +44,6 @@ impl BitstreamCache {
     /// signature was present.
     pub fn remove(&self, signature: u64) -> bool {
         self.map.write().remove(&signature).is_some()
-    }
-
-    /// `(hits, misses)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (*self.hits.read(), *self.misses.read())
     }
 
     /// Number of cached bitstreams.
@@ -115,20 +56,11 @@ impl BitstreamCache {
         self.map.read().is_empty()
     }
 
-    /// Clears contents and counters.
-    pub fn clear(&self) {
-        self.map.write().clear();
-        *self.hits.write() = 0;
-        *self.misses.write() = 0;
-    }
-
-    /// Serializes the whole cache to bytes (the on-disk database of
-    /// §VI-A).
+    /// The whole cache's content as bytes, entries in signature order:
+    /// the image determinism checks compare and hash.
     pub fn to_bytes(&self) -> Vec<u8> {
         let map = self.map.read();
         let mut enc = Encoder::new();
-        // -2 appended the install-tier field (PR 10); -1 images are no
-        // longer readable, matching the store's no-migration stance.
         enc.put_str("JITISE-BSCACHE-2");
         enc.put_varu64(map.len() as u64);
         let mut keys: Vec<u64> = map.keys().copied().collect();
@@ -150,46 +82,6 @@ impl BitstreamCache {
         enc.finish()
     }
 
-    /// Restores a cache image produced by [`Self::to_bytes`].
-    ///
-    /// Strict: any structural damage (truncation, trailing garbage, bad
-    /// magic) *or* a CRC-failed entry rejects the whole image with a typed
-    /// [`Error::Codec`]. Use [`Self::from_bytes_resilient`] to salvage the
-    /// intact entries of a partially poisoned image instead.
-    pub fn from_bytes(data: &[u8]) -> Result<BitstreamCache> {
-        let (cache, dropped) = Self::decode(data, false)?;
-        debug_assert_eq!(dropped, 0, "strict decode never drops entries");
-        Ok(cache)
-    }
-
-    /// Restores a cache image, *dropping* entries whose bitstream fails
-    /// its CRC instead of rejecting the image. Returns the cache and the
-    /// number of poisoned entries dropped. Structural damage (truncation,
-    /// trailing garbage, bad magic) is still a hard [`Error::Codec`]: a
-    /// mangled framing means nothing after the damage can be trusted.
-    pub fn from_bytes_resilient(data: &[u8]) -> Result<(BitstreamCache, usize)> {
-        Self::decode(data, true)
-    }
-
-    /// [`Self::from_bytes_resilient`] with the dropped count surfaced to
-    /// telemetry: the `bitstream_cache.dropped` counter and a
-    /// `cache.load_dropped` journal event, so a disk-load that silently
-    /// loses poisoned entries is visible in the phase journal.
-    pub fn load_resilient(data: &[u8], tel: &Telemetry) -> Result<(BitstreamCache, usize)> {
-        let (cache, dropped) = Self::decode(data, true)?;
-        if dropped > 0 {
-            tel.add(names::BITSTREAM_CACHE_DROPPED, dropped as u64);
-            tel.event(
-                "cache.load_dropped",
-                &[
-                    ("dropped", TelValue::U64(dropped as u64)),
-                    ("kept", TelValue::U64(cache.len() as u64)),
-                ],
-            );
-        }
-        Ok((cache, dropped))
-    }
-
     /// Hydrates this cache from a recovered [`StoreState`] (warm
     /// restart). Existing entries win over recovered ones — the store is
     /// a snapshot of a *previous* session, so anything already cached in
@@ -200,173 +92,28 @@ impl BitstreamCache {
         let mut absorbed = 0usize;
         for (sig, rec) in &state.entries {
             if !map.contains_key(sig) {
-                map.insert(*sig, CachedCi::from(rec.clone()));
+                map.insert(*sig, rec.clone());
                 absorbed += 1;
             }
         }
         absorbed
-    }
-
-    fn decode(data: &[u8], drop_poisoned: bool) -> Result<(BitstreamCache, usize)> {
-        let mut dec = Decoder::new(data);
-        let magic = dec.get_str()?;
-        if magic != "JITISE-BSCACHE-2" {
-            return Err(Error::Codec(format!("bad cache magic {magic:?}")));
-        }
-        let n = dec.get_varu64()?;
-        let cache = BitstreamCache::new();
-        let mut dropped = 0usize;
-        for _ in 0..n {
-            let signature = dec.get_u64()?;
-            let bytes = dec.get_bytes()?.to_vec();
-            let frames = dec.get_varu32()?;
-            let crc = dec.get_u64()? as u32;
-            let partial = dec.get_varu32()? != 0;
-            let critical_path_ns = f64::from_bits(dec.get_u64()?);
-            let fmax_mhz = f64::from_bits(dec.get_u64()?);
-            let critical_cells = dec.get_varu32()?;
-            let meets_300mhz = dec.get_varu32()? != 0;
-            let generation_time = SimTime::from_nanos(dec.get_u64()?);
-            let tier = InstallTier::decode(dec.get_varu32()?)?;
-            let bitstream = Bitstream {
-                bytes,
-                frames,
-                crc,
-                partial,
-            };
-            if !bitstream.verify() {
-                if drop_poisoned {
-                    dropped += 1;
-                    continue;
-                }
-                return Err(Error::Codec(format!(
-                    "cache entry {signature:#018x} failed CRC"
-                )));
-            }
-            cache.put(CachedCi {
-                signature,
-                bitstream,
-                timing: TimingReport {
-                    critical_path_ns,
-                    fmax_mhz,
-                    critical_cells,
-                    meets_300mhz,
-                },
-                generation_time,
-                tier,
-            });
-        }
-        if !dec.is_at_end() {
-            return Err(Error::Codec(format!(
-                "{} bytes of trailing garbage after {n} cache entries",
-                dec.remaining()
-            )));
-        }
-        Ok((cache, dropped))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testfix::sample_cached_ci as sample_entry;
+    use jitise_base::SimTime;
+    use jitise_store::testfix::sample_entry;
 
     #[test]
-    fn get_put_and_stats() {
+    fn get_and_put() {
         let c = BitstreamCache::new();
         assert!(c.get(42).is_none());
         c.put(sample_entry(42));
         let hit = c.get(42).unwrap();
         assert_eq!(hit.signature, 42);
-        assert_eq!(c.stats(), (1, 1));
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn roundtrip_through_bytes() {
-        let c = BitstreamCache::new();
-        c.put(sample_entry(1));
-        c.put(sample_entry(2));
-        let bytes = c.to_bytes();
-        let c2 = BitstreamCache::from_bytes(&bytes).unwrap();
-        assert_eq!(c2.len(), 2);
-        let e = c2.get(1).unwrap();
-        assert_eq!(e, c.get(1).unwrap());
-        assert!(e.bitstream.verify());
-    }
-
-    #[test]
-    fn corrupt_image_rejected() {
-        let c = BitstreamCache::new();
-        c.put(sample_entry(9));
-        let mut bytes = c.to_bytes();
-        let n = bytes.len();
-        bytes[n - 10] ^= 0xff;
-        assert!(BitstreamCache::from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        assert!(BitstreamCache::from_bytes(b"NOT-A-CACHE").is_err());
-    }
-
-    #[test]
-    fn truncated_image_rejected_with_typed_error() {
-        let c = BitstreamCache::new();
-        c.put(sample_entry(3));
-        let bytes = c.to_bytes();
-        // Every prefix must fail cleanly (no panic, no silent misparse).
-        for cut in [0, 1, bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
-            match BitstreamCache::from_bytes(&bytes[..cut]) {
-                Err(Error::Codec(_)) => {}
-                other => panic!("truncation at {cut} must yield Error::Codec, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn trailing_garbage_rejected_with_typed_error() {
-        let c = BitstreamCache::new();
-        c.put(sample_entry(4));
-        let mut bytes = c.to_bytes();
-        bytes.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
-        match BitstreamCache::from_bytes(&bytes) {
-            Err(Error::Codec(msg)) => assert!(msg.contains("trailing"), "got {msg:?}"),
-            other => panic!("trailing garbage must yield Error::Codec, got {other:?}"),
-        }
-        match BitstreamCache::from_bytes_resilient(&bytes) {
-            Err(Error::Codec(_)) => {}
-            other => panic!("resilient decode must also reject framing damage, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn resilient_decode_drops_poisoned_entries_keeps_good_ones() {
-        let c = BitstreamCache::new();
-        c.put(sample_entry(1));
-        c.put(sample_entry(2));
-        c.put(sample_entry(3));
-        let mut bytes = c.to_bytes();
-        // Poison the middle entry's bitstream payload: flip a byte well
-        // inside its data region so only the CRC check can catch it.
-        let good = BitstreamCache::from_bytes(&bytes).unwrap();
-        assert_eq!(good.len(), 3);
-        let payload = c.get(2).unwrap().bitstream.bytes;
-        let pos = bytes
-            .windows(payload.len())
-            .position(|w| w == payload)
-            .expect("entry 2 payload present in image");
-        bytes[pos + payload.len() / 2] ^= 0x40;
-        assert!(
-            BitstreamCache::from_bytes(&bytes).is_err(),
-            "strict decode rejects the poisoned image"
-        );
-        let (salvaged, dropped) = BitstreamCache::from_bytes_resilient(&bytes).unwrap();
-        assert_eq!(dropped, 1);
-        assert_eq!(salvaged.len(), 2);
-        assert!(salvaged.get(1).is_some());
-        assert!(salvaged.get(2).is_none(), "poisoned entry dropped");
-        assert!(salvaged.get(3).is_some());
     }
 
     #[test]
@@ -379,69 +126,13 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_counters() {
-        let c = BitstreamCache::new();
-        c.put(sample_entry(5));
-        c.get(5);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.stats(), (0, 0));
-    }
-
-    #[test]
-    fn cached_ci_converts_to_store_record_and_back() {
-        let entry = sample_entry(11);
-        let rec = CiRecord::from(entry.clone());
-        assert!(rec.bitstream.verify(), "fixture bitstreams are valid");
-        let back = CachedCi::from(rec);
-        assert_eq!(back, entry);
-    }
-
-    #[test]
-    fn load_resilient_surfaces_dropped_count_in_telemetry() {
-        let c = BitstreamCache::new();
-        c.put(sample_entry(1));
-        c.put(sample_entry(2));
-        let mut bytes = c.to_bytes();
-        let payload = c.get(2).unwrap().bitstream.bytes;
-        let pos = bytes
-            .windows(payload.len())
-            .position(|w| w == payload)
-            .expect("entry 2 payload present in image");
-        bytes[pos + payload.len() / 2] ^= 0x40;
-
-        let tel = Telemetry::enabled();
-        let (salvaged, dropped) = BitstreamCache::load_resilient(&bytes, &tel).unwrap();
-        assert_eq!(dropped, 1);
-        assert_eq!(salvaged.len(), 1);
-        let snap = tel.snapshot();
-        assert!(
-            snap.counters
-                .iter()
-                .any(|(n, v)| n == names::BITSTREAM_CACHE_DROPPED && *v == 1),
-            "counters: {:?}",
-            snap.counters
-        );
-        assert!(
-            snap.events.iter().any(|e| e.name == "cache.load_dropped"),
-            "journal must record the lossy load"
-        );
-
-        // A clean image records nothing.
-        let tel2 = Telemetry::enabled();
-        let (_, dropped) = BitstreamCache::load_resilient(&c.to_bytes(), &tel2).unwrap();
-        assert_eq!(dropped, 0);
-        assert!(tel2.snapshot().events.is_empty());
-    }
-
-    #[test]
     fn absorb_store_hydrates_without_clobbering_fresh_entries() {
         let fresh = sample_entry(1);
         let mut stale = sample_entry(1);
         stale.generation_time = SimTime::from_secs(999);
         let state = StoreState::from_records(vec![
-            jitise_store::Record::CacheEntry(stale.into()),
-            jitise_store::Record::CacheEntry(sample_entry(2).into()),
+            jitise_store::Record::CacheEntry(stale),
+            jitise_store::Record::CacheEntry(sample_entry(2)),
         ]);
         let c = BitstreamCache::new();
         c.put(fresh.clone());

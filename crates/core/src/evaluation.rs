@@ -15,10 +15,11 @@ use jitise_base::SimTime;
 use jitise_ise::{candidate_search, PruneFilter, SearchConfig, SearchMemo};
 use jitise_pivpav::{CircuitDb, NetlistCache, PivPavEstimator};
 use jitise_telemetry::Telemetry;
+use jitise_vm::cost::cycles_to_time;
 use jitise_vm::coverage::{classify, CoverageClass, CoverageReport};
 use jitise_vm::exec_model::ExecTimes;
 use jitise_vm::kernel::{kernel, KernelReport, KERNEL_THRESHOLD};
-use jitise_vm::{CostModel, Profile, VmTier};
+use jitise_vm::{Profile, VmTier};
 use jitise_woolcano::Woolcano;
 use std::sync::Arc;
 
@@ -32,8 +33,6 @@ pub struct EvalContext {
     pub bitstreams: BitstreamCache,
     /// Estimator.
     pub estimator: PivPavEstimator,
-    /// CPU model.
-    pub cost: CostModel,
     /// Observability handle propagated into every specialization run this
     /// context drives (disabled by default).
     pub telemetry: Telemetry,
@@ -80,7 +79,6 @@ impl EvalContext {
             db,
             netlists: NetlistCache::new(),
             bitstreams: BitstreamCache::new(),
-            cost: CostModel::ppc405(),
             telemetry,
             cad_workers: 1,
             search_workers: 1,
@@ -154,7 +152,7 @@ pub fn evaluate_app(ctx: &EvalContext, app: &App) -> AppEvaluation {
     // ---- static + dynamic characterization ----
     let coverage = classify(&app.module, &raw_profiles);
     let kern = kernel(&app.module, &raw_profiles[0], KERNEL_THRESHOLD);
-    let exec = app.exec_model.times(&app.module, &profile, &ctx.cost);
+    let exec = app.exec_model.times(&app.module, &profile);
 
     // ---- upper bound: no pruning, min size 2, generous budget ----
     let unpruned_cfg = SearchConfig {
@@ -225,8 +223,11 @@ pub fn evaluate_app(ctx: &EvalContext, app: &App) -> AppEvaluation {
 /// Extracts the frequency-scaled break-even inputs from a specialization
 /// report (shared with the Table IV extrapolation, which re-evaluates the
 /// same basis under varying cache rates and tool speedups).
+///
+/// `_ctx` is unused since cycles convert to time at the one PPC405 clock;
+/// it stays until the next change to `benchmark/`, which calls this.
 pub fn break_even_basis(
-    ctx: &EvalContext,
+    _ctx: &EvalContext,
     coverage: &CoverageReport,
     profile: &Profile,
     report: &SpecializeReport,
@@ -269,10 +270,10 @@ pub fn break_even_basis(
     let candidate_times: Vec<SimTime> = report.candidates.iter().map(|c| c.total()).collect();
     BreakEvenBasis {
         inputs: BreakEvenInputs {
-            const_time: ctx.cost.cycles_to_time(const_cycles),
-            live_time: ctx.cost.cycles_to_time(live_cycles),
-            const_saved: ctx.cost.cycles_to_time(const_saved),
-            live_saved: ctx.cost.cycles_to_time(live_saved),
+            const_time: cycles_to_time(const_cycles),
+            live_time: cycles_to_time(live_cycles),
+            const_saved: cycles_to_time(const_saved),
+            live_saved: cycles_to_time(live_saved),
             // Amortize the wall-clock overhead: with one CAD worker the
             // makespan is exactly the sequential `sum + fault` total, with
             // more workers only the critical path must be paid off.

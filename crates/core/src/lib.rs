@@ -26,7 +26,7 @@ pub(crate) mod testfix;
 pub use breakeven::{
     break_even_scaled, break_even_simplistic, break_even_two_tier, BreakEvenInputs, TwoTierInputs,
 };
-pub use cache::{BitstreamCache, CachedCi};
+pub use cache::BitstreamCache;
 pub use evaluation::{break_even_basis, evaluate_app, AppEvaluation, BreakEvenBasis, EvalContext};
 pub use extrapolate::{
     average_break_even, average_break_even_detailed, table_iv, BreakEvenAverage, CACHE_RATES,

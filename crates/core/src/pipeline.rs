@@ -48,19 +48,19 @@
 //! driven end-to-end with the in-process pool, and every runtime driver
 //! uses it.
 
-use crate::cache::{BitstreamCache, CachedCi};
+use crate::cache::BitstreamCache;
 use jitise_base::par::parallel_map_indexed;
 use jitise_base::{Error, Result, SimTime};
 use jitise_cad::{
     map_overlay, run_flow_accounted, Fabric, FlowOptions, InstallTier, OverlayLibrary,
 };
-use jitise_faults::{FaultInjector, FaultKind, FaultSite, Quarantine, RetryPolicy};
+use jitise_faults::{backoff_for, FaultInjector, FaultKind, FaultSite, Quarantine, MAX_ATTEMPTS};
 use jitise_ir::{Dfg, Escapes, FuncId, Function, Module};
 use jitise_ise::{candidate_search, Candidate, SearchConfig, SearchOutcome};
 use jitise_pivpav::{
     create_project_with, C2vTiming, CadProject, CircuitDb, NetlistCache, PivPavEstimator,
 };
-use jitise_store::{FaultTotals, Record, Store};
+use jitise_store::{CiRecord, FaultTotals, Record, Store};
 use jitise_telemetry::{names, Span, Telemetry, Value as TelValue};
 use jitise_vm::{BlockKey, Profile, VmTier};
 use jitise_woolcano::{patch_candidate, ReconfigController, Woolcano};
@@ -82,10 +82,6 @@ pub struct SpecializeConfig {
     /// pipeline re-scopes it per `(candidate signature, attempt)` and
     /// overrides `flow.faults` with the scoped handle.
     pub faults: FaultInjector,
-    /// Retry policy for failed candidate attempts (CAD crashes, poisoned
-    /// cache entries, ICAP transfer corruption). Backoff is charged in
-    /// simulated time, never slept.
-    pub retry: RetryPolicy,
     /// Signatures that exhausted their retries; quarantined candidates are
     /// skipped without burning tool time. Share one `Arc` across sessions
     /// to persist the blacklist.
@@ -125,7 +121,6 @@ impl Default for SpecializeConfig {
             fabric: Fabric::pr_region(),
             telemetry: Telemetry::disabled(),
             faults: FaultInjector::disabled(),
-            retry: RetryPolicy::default(),
             quarantine: Arc::new(Quarantine::new()),
             cad_workers: 1,
             store: None,
@@ -352,7 +347,7 @@ impl Loss {
 /// One candidate's generated (or cache-served) implementation, carried
 /// across install retries so an ICAP failure never regenerates it.
 struct Produced {
-    entry: CachedCi,
+    entry: CiRecord,
     cache_hit: bool,
     c2v: SimTime,
     const_stages: SimTime,
@@ -413,7 +408,7 @@ enum Probe {
     /// session that never finished (or never started) its upgrade. Not a
     /// finished implementation: the dispatcher reuses it as the fast path
     /// and still schedules the full flow.
-    Overlay(CachedCi),
+    Overlay(CiRecord),
     /// Miss, or a poisoned entry that was just evicted.
     Miss,
 }
@@ -478,7 +473,7 @@ fn implement_project(
         };
         (fe.error, loss)
     })?;
-    let entry = CachedCi {
+    let entry = CiRecord {
         signature,
         bitstream: flow.bitstream.clone(),
         timing: flow.timing.clone(),
@@ -505,7 +500,7 @@ const OVERLAY_SCOPE_SALT: u64 = 0x006f_7665_726c_6179; // "overlay"
 /// (or cache-rehydrated) overlay entry, ready to install at finalize.
 struct OverlayPrep {
     /// Overlay-tier cache entry (descriptor bitstream + degraded timing).
-    entry: CachedCi,
+    entry: CiRecord,
     /// Assembly time to charge — zero when rehydrated from the cache.
     assembly: SimTime,
     /// True iff the entry came out of the bitstream cache (a warm restart
@@ -538,7 +533,7 @@ enum Transfer<'c> {
 /// ledger is charged its reconfiguration time. A rejected swap leaves the
 /// overlay slot serving.
 fn transfer(
-    entry: &CachedCi,
+    entry: &CiRecord,
     inj: &FaultInjector,
     machine: &Woolcano,
     hw_cycles: u64,
@@ -572,13 +567,13 @@ fn transfer(
 }
 
 /// The bounded retry loop of every candidate step — generation, overlay
-/// install, upgrade swap and install: tries `attempt` from `first` up to
-/// the policy's `max_attempts`, charging each failure's waste to `loss`
-/// and each retry's backoff too (simulated, never slept), counting the
+/// install, upgrade swap and install (CAD crashes, poisoned cache
+/// entries, ICAP transfer corruption): tries `attempt` from `first` up to
+/// [`MAX_ATTEMPTS`], charging each failure's waste to `loss` and each
+/// retry's [`backoff_for`] too (simulated, never slept), counting the
 /// retry and journaling a `candidate.retry` event. Returns the last
 /// attempt number with the success or the last error.
 fn with_retries<T>(
-    config: &SpecializeConfig,
     tel: &Telemetry,
     signature: u64,
     first: u32,
@@ -586,7 +581,6 @@ fn with_retries<T>(
     retries: &mut u64,
     mut attempt_at: impl FnMut(u32) -> std::result::Result<T, (Error, Loss)>,
 ) -> (u32, std::result::Result<T, Error>) {
-    let max_attempts = config.retry.max_attempts.max(1);
     let mut attempt = first;
     loop {
         let e = match attempt_at(attempt) {
@@ -596,10 +590,10 @@ fn with_retries<T>(
                 e
             }
         };
-        if attempt >= max_attempts {
+        if attempt >= MAX_ATTEMPTS {
             return (attempt, Err(e));
         }
-        let backoff = config.retry.backoff_for(attempt);
+        let backoff = backoff_for(attempt);
         loss.backoff += backoff;
         *retries += 1;
         tel.add(names::PIPELINE_RETRIES, 1);
@@ -628,7 +622,7 @@ struct Generated {
     /// The implementation (or the cache hit), or the last error when
     /// every attempt failed.
     result: std::result::Result<Produced, Error>,
-    /// Attempt generation succeeded at; `max_attempts` on exhaustion. The
+    /// Attempt generation succeeded at; `MAX_ATTEMPTS` on exhaustion. The
     /// install loop continues the attempt numbering from here.
     attempt: u32,
     /// Fault ledger accumulated so far (failed flows + backoff).
@@ -661,37 +655,29 @@ fn run_generation(
 ) -> Generated {
     let mut loss = Loss::default();
     let mut retries = 0u64;
-    let (attempt, result) = with_retries(
-        config,
-        tel,
-        signature,
-        1,
-        &mut loss,
-        &mut retries,
-        |attempt| {
-            let inj = config.faults.scope(signature, attempt);
-            let created;
-            let (project, c2v) = match first.take() {
-                Some(Ok(pair)) => (&pair.0, pair.1),
-                Some(Err(e)) => return Err((e.clone(), Loss::default())),
-                None => {
-                    // An overlay-tier entry is deliberately *not* a hit here:
-                    // generation means producing the full artifact, so the
-                    // overlay commit of a crashed twin falls through to
-                    // regeneration (and is overwritten).
-                    if let Probe::Hit(hit) = probe_cache(bitstream_cache, &inj, signature, tel) {
-                        return Ok(hit);
-                    }
-                    // Phase 2: Netlist Generation.
-                    created = create_project_with(db, netlist_cache, pf, dfg, cand, tel)
-                        .map_err(|e| (e, Loss::default()))?;
-                    (&created.0, created.1)
+    let (attempt, result) = with_retries(tel, signature, 1, &mut loss, &mut retries, |attempt| {
+        let inj = config.faults.scope(signature, attempt);
+        let created;
+        let (project, c2v) = match first.take() {
+            Some(Ok(pair)) => (&pair.0, pair.1),
+            Some(Err(e)) => return Err((e.clone(), Loss::default())),
+            None => {
+                // An overlay-tier entry is deliberately *not* a hit here:
+                // generation means producing the full artifact, so the
+                // overlay commit of a crashed twin falls through to
+                // regeneration (and is overwritten).
+                if let Probe::Hit(hit) = probe_cache(bitstream_cache, &inj, signature, tel) {
+                    return Ok(hit);
                 }
-            };
-            // Phase 3: Instruction Implementation.
-            implement_project(bitstream_cache, config, &inj, project, c2v, signature, tel)
-        },
-    );
+                // Phase 2: Netlist Generation.
+                created = create_project_with(db, netlist_cache, pf, dfg, cand, tel)
+                    .map_err(|e| (e, Loss::default()))?;
+                (&created.0, created.1)
+            }
+        };
+        // Phase 3: Instruction Implementation.
+        implement_project(bitstream_cache, config, &inj, project, c2v, signature, tel)
+    });
     Generated {
         result,
         attempt,
@@ -975,7 +961,7 @@ impl<'a> SpecializeSession<'a> {
                             overlay = match map_overlay(lib, project) {
                                 Ok(m) => Some(OverlayPrep {
                                     hw_cycles: machine.ci_cycles(&m.timing),
-                                    entry: CachedCi {
+                                    entry: CiRecord {
                                         signature,
                                         bitstream: m.bitstream,
                                         timing: m.timing,
@@ -1219,18 +1205,11 @@ impl<'a> SpecializeSession<'a> {
                     cand: &cand,
                     tier: InstallTier::Overlay,
                 };
-                let (_, installed) = with_retries(
-                    config,
-                    &cand_tel,
-                    signature,
-                    1,
-                    &mut loss,
-                    &mut retries,
-                    |a| {
+                let (_, installed) =
+                    with_retries(&cand_tel, signature, 1, &mut loss, &mut retries, |a| {
                         let inj = config.faults.scope(signature ^ OVERLAY_SCOPE_SALT, a);
                         transfer(&op.entry, &inj, machine, op.hw_cycles, to, &cand_tel)
-                    },
-                );
+                    });
                 match installed {
                     Ok(slot) => {
                         // Savings under the overlay clock: the software cycles
@@ -1254,7 +1233,7 @@ impl<'a> SpecializeSession<'a> {
                         // a journal cut between the two must rehydrate this
                         // tier.
                         if !op.cache_hit {
-                            journal.push(|_| Record::CacheEntry(op.entry.clone().into()));
+                            journal.push(|_| Record::CacheEntry(op.entry.clone()));
                         }
                         overlay_slot = Some((slot, op));
                     }
@@ -1315,7 +1294,6 @@ impl<'a> SpecializeSession<'a> {
                     let p = produced.as_ref().expect("generation succeeded");
                     let moved;
                     (attempt, moved) = with_retries(
-                        config,
                         &cand_tel,
                         signature,
                         attempt,
@@ -1374,7 +1352,7 @@ impl<'a> SpecializeSession<'a> {
                                 // to the persistent store (cache hits were
                                 // journaled by the session that generated
                                 // them).
-                                journal.push(|_| Record::CacheEntry(p.entry.clone().into()));
+                                journal.push(|_| Record::CacheEntry(p.entry.clone()));
                             }
                             const_time += p.c2v + p.const_stages;
                             map_time += p.map;
@@ -1753,14 +1731,11 @@ mod tests {
         assert!(!r.failed.is_empty());
         for f in &r.failed {
             assert!(f.quarantined);
-            assert_eq!(f.attempts, cfg.retry.max_attempts);
+            assert_eq!(f.attempts, MAX_ATTEMPTS);
             assert!(f.error.contains("injected"));
             assert!(f.time_lost > SimTime::ZERO);
         }
-        assert_eq!(
-            r.retries,
-            r.failed.len() as u64 * (cfg.retry.max_attempts as u64 - 1)
-        );
+        assert_eq!(r.retries, r.failed.len() as u64 * (MAX_ATTEMPTS as u64 - 1));
         assert_eq!(cfg.quarantine.len(), r.failed.len());
         assert!(
             r.fault_map_time > SimTime::ZERO,

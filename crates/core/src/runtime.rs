@@ -25,14 +25,12 @@ use crate::pipeline::{note_fault, specialize, Journal, SpecializeConfig, Special
 use jitise_base::hash::SigHasher;
 use jitise_base::{Error, Result, SimTime};
 use jitise_cad::OverlayLibrary;
-use jitise_faults::{FaultInjector, FaultSite, Quarantine, RetryPolicy};
+use jitise_faults::{FaultInjector, FaultSite, Quarantine};
 use jitise_ir::Module;
 use jitise_ise::SearchConfig;
 use jitise_store::{Record, Store, StoreState};
 use jitise_telemetry::{names, Telemetry, Value as TelValue};
-use jitise_vm::{
-    BlockKey, CostModel, HotnessWindow, Interpreter, PredecodedModule, Profile, Value, VmTier,
-};
+use jitise_vm::{BlockKey, HotnessWindow, Interpreter, PredecodedModule, Profile, Value, VmTier};
 use jitise_woolcano::Woolcano;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -67,8 +65,6 @@ pub struct AdaptiveOptions {
     /// Fault injection handle, threaded through to the pipeline and used
     /// for worker stall/death injection (disabled by default).
     pub faults: FaultInjector,
-    /// Retry policy for the specialization pipeline.
-    pub retry: RetryPolicy,
     /// Quarantine list shared with the pipeline (and, if the caller keeps
     /// the `Arc`, across sessions).
     pub quarantine: Arc<Quarantine>,
@@ -101,7 +97,6 @@ impl Default for AdaptiveOptions {
         AdaptiveOptions {
             watchdog: Duration::from_secs(30),
             faults: FaultInjector::disabled(),
-            retry: RetryPolicy::default(),
             quarantine: Arc::new(Quarantine::new()),
             cad_workers: 1,
             search_workers: 1,
@@ -122,7 +117,6 @@ impl AdaptiveOptions {
             },
             telemetry,
             faults,
-            retry: self.retry,
             quarantine: Arc::clone(&self.quarantine),
             cad_workers: self.cad_workers,
             store: self.store.clone(),
@@ -375,8 +369,7 @@ fn tiered_vm<'m>(
 ) -> Interpreter<'m> {
     let mut vm = Interpreter::new(module);
     if tier == VmTier::Fast {
-        let pd = pd
-            .get_or_insert_with(|| Arc::new(PredecodedModule::build(module, &CostModel::ppc405())));
+        let pd = pd.get_or_insert_with(|| Arc::new(PredecodedModule::build(module)));
         vm.set_predecoded(Arc::clone(pd));
     }
     vm

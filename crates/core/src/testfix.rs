@@ -1,28 +1,6 @@
 //! Shared test fixtures for the jitise-core test modules.
 
-use crate::cache::CachedCi;
-use jitise_base::SimTime;
 use jitise_ir::{FunctionBuilder, Module, Operand as Op, Type};
-
-/// A fully implemented cache entry built by running the real CAD flow on
-/// a tiny synthetic core — the shared fixture for cache and store tests.
-pub fn sample_cached_ci(sig: u64) -> CachedCi {
-    let fabric = jitise_cad::Fabric::tiny();
-    let nl = jitise_pivpav::netlist::synthesize_core("x", 4, 8, 2, 0, sig);
-    let p = jitise_cad::place(&fabric, &nl, jitise_cad::PlaceEffort::fast(), 1)
-        .expect("place stage must succeed on the tiny fixture netlist");
-    let r = jitise_cad::route(&fabric, &nl, &p, jitise_cad::RouteEffort::fast())
-        .expect("route stage must succeed on the tiny fixture netlist");
-    let bitstream = jitise_cad::bitgen(&fabric, &nl, &p, &r, true);
-    let timing = jitise_cad::analyze(&fabric, &nl, &p, &r);
-    CachedCi {
-        signature: sig,
-        bitstream,
-        timing,
-        generation_time: SimTime::from_secs(220),
-        tier: jitise_cad::InstallTier::Full,
-    }
-}
 
 /// A module with one hot, multiply-heavy counted loop — the canonical
 /// specialization target used across the pipeline and runtime tests.

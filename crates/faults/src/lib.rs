@@ -14,8 +14,9 @@
 //!   is either [`FaultKind::Transient`] (clears after a bounded number of
 //!   retry attempts) or [`FaultKind::Persistent`] (fires on every attempt,
 //!   forcing the quarantine path).
-//! * [`RetryPolicy`] — bounded retries with exponential backoff counted in
-//!   simulated time (the tool re-run a real deployment would wait for).
+//! * [`MAX_ATTEMPTS`] / [`backoff_for`] — bounded retries with exponential
+//!   backoff counted in simulated time (the tool re-run a real deployment
+//!   would wait for).
 //! * [`Quarantine`] — a thread-safe set of candidate signatures whose
 //!   implementation failed persistently; the pipeline skips them outright
 //!   instead of burning tool time on known-bad candidates.
@@ -161,8 +162,6 @@ pub struct FaultPlan {
     rates: [f64; FaultSite::ALL.len()],
     /// Fraction of fired faults that are persistent (default 0.3).
     pub persistent_frac: f64,
-    /// Maximum attempts a transient fault keeps failing (default 2).
-    pub max_transient_failures: u32,
     /// Optional correlated-burst overlay. `None` (the default) keeps every
     /// decision — and therefore every downstream artifact — byte-identical
     /// to a plan built before bursts existed.
@@ -176,7 +175,6 @@ impl FaultPlan {
             seed,
             rates: [0.0; FaultSite::ALL.len()],
             persistent_frac: 0.3,
-            max_transient_failures: 2,
             bursts: None,
         }
     }
@@ -230,7 +228,7 @@ impl FaultPlan {
 
     /// Does a fault fire at `site` for identity `key` on `attempt`
     /// (1-based)? Persistent faults fire on every attempt; transient
-    /// faults fail the first `1..=max_transient_failures` attempts (the
+    /// faults fail the first `1..=MAX_TRANSIENT_FAILURES` attempts (the
     /// exact count drawn deterministically per key) and then clear.
     ///
     /// Equivalent to [`Self::decide_at`] with epoch 0; without a burst
@@ -274,7 +272,7 @@ impl FaultPlan {
         if self.unit(2, site, key) < self.persistent_frac {
             return Some(FaultKind::Persistent);
         }
-        let max = self.max_transient_failures.max(1);
+        let max = MAX_TRANSIENT_FAILURES;
         let fails = 1 + (self.unit(3, site, key) * max as f64) as u32;
         if attempt <= fails.min(max) {
             Some(FaultKind::Transient)
@@ -491,37 +489,25 @@ impl CrashSwitch {
     }
 }
 
-/// Bounded retry with exponential backoff in simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Attempts per candidate, including the first (≥ 1).
-    pub max_attempts: u32,
-    /// Simulated wait before the first retry.
-    pub backoff_base: SimTime,
-    /// Backoff multiplier per further retry.
-    pub backoff_factor: u32,
-}
+/// Attempts per candidate, including the first. Three attempts with a 5 s
+/// backoff that doubles per retry ([`backoff_for`]) cost little next to
+/// the ~230 s of a full CAD run, so retrying a transient tool crash is
+/// always cheaper than regenerating from scratch later.
+pub const MAX_ATTEMPTS: u32 = 3;
 
-impl Default for RetryPolicy {
-    /// Three attempts, 5 s base backoff, doubling — small next to the
-    /// ~230 s a full CAD run costs, so retrying a transient tool crash is
-    /// always cheaper than regenerating from scratch later.
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_base: SimTime::from_secs(5),
-            backoff_factor: 2,
-        }
-    }
-}
+/// Most attempts a transient fault keeps failing before it clears.
+pub const MAX_TRANSIENT_FAILURES: u32 = 2;
 
-impl RetryPolicy {
-    /// Simulated backoff before retry number `retry` (1-based):
-    /// `base * factor^(retry-1)`, saturating.
-    pub fn backoff_for(&self, retry: u32) -> SimTime {
-        let factor = (self.backoff_factor.max(1) as u64).saturating_pow(retry.saturating_sub(1));
-        SimTime::from_nanos(self.backoff_base.as_nanos().saturating_mul(factor))
-    }
+// A transient fault must clear inside the retry budget: with every
+// attempt used up by the fault, a transient fault would quarantine its
+// candidate exactly like a persistent one.
+const _: () = assert!(MAX_TRANSIENT_FAILURES < MAX_ATTEMPTS);
+
+/// Simulated backoff before retry number `retry` (1-based):
+/// `5 s * 2^(retry-1)`, saturating.
+pub fn backoff_for(retry: u32) -> SimTime {
+    let factor = 2u64.saturating_pow(retry.saturating_sub(1));
+    SimTime::from_nanos(SimTime::from_secs(5).as_nanos().saturating_mul(factor))
 }
 
 /// Thread-safe set of candidate signatures that failed persistently.
@@ -658,7 +644,7 @@ mod tests {
     #[test]
     fn transient_faults_clear_within_the_bound() {
         let plan = FaultPlan::uniform(1.0, 11);
-        let bound = plan.max_transient_failures;
+        let bound = MAX_TRANSIENT_FAILURES;
         let mut saw_transient = false;
         for key in 0..500u64 {
             if plan.decide(FaultSite::CadRoute, key, 1) == Some(FaultKind::Transient) {
@@ -706,10 +692,9 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff_for(1), SimTime::from_secs(5));
-        assert_eq!(p.backoff_for(2), SimTime::from_secs(10));
-        assert_eq!(p.backoff_for(3), SimTime::from_secs(20));
+        assert_eq!(backoff_for(1), SimTime::from_secs(5));
+        assert_eq!(backoff_for(2), SimTime::from_secs(10));
+        assert_eq!(backoff_for(3), SimTime::from_secs(20));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Functions and basic blocks.
 
-use crate::inst::{Inst, InstKind, Operand, Terminator};
+use crate::inst::{Inst, Operand, Terminator};
 use crate::types::Type;
 
 /// Index of an instruction in a function's instruction arena.
@@ -226,27 +226,12 @@ impl Function {
         }
         counts
     }
-
-    /// True if any attached instruction is a phi referencing `block` as an
-    /// incoming edge (used by CFG simplification to preserve phi sanity).
-    pub fn block_feeds_phi(&self, block: BlockId) -> bool {
-        for bid in self.block_ids() {
-            for &iid in &self.block(bid).insts {
-                if let InstKind::Phi(incoming) = &self.inst(iid).kind {
-                    if incoming.iter().any(|(b, _)| *b == block) {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{BinOp, Imm};
+    use crate::inst::{BinOp, Imm, InstKind};
 
     fn simple_fn() -> Function {
         // entry: x = 1+2; br b1

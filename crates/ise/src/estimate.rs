@@ -8,7 +8,7 @@
 
 use crate::candidate::Candidate;
 use jitise_ir::{BinOp, Dfg, Function, Opcode, UnOp};
-use jitise_vm::CostModel;
+use jitise_vm::cost::{inst_cycles, CI_PERIOD_NS, FCB_OVERHEAD_CYCLES};
 
 /// Hardware/software cost estimate for one candidate.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,26 +143,21 @@ pub fn hw_area(op: Opcode, bits: u32) -> (u32, u32, u32) {
 }
 
 /// A database-free estimator: hardware latency is the DFG critical path
-/// through [`hw_delay_ns`] clocked at the CI interface, plus a fixed
-/// invocation overhead; software cost comes from the CPU [`CostModel`].
+/// through [`hw_delay_ns`] clocked at [`CI_PERIOD_NS`], plus a fixed
+/// invocation overhead; software cost comes from the PPC405
+/// [`inst_cycles`].
 #[derive(Debug, Clone)]
 pub struct DepthEstimator {
-    /// Base CPU cost model (software side).
-    pub cost: CostModel,
-    /// CI clock period in ns (Woolcano clocks CIs with the CPU clock;
-    /// 300 MHz ⇒ 3.33 ns).
-    pub ci_period_ns: f64,
     /// Fixed cycles to issue a CI and retrieve results over the FCB/APU
-    /// interface.
+    /// interface ([`FCB_OVERHEAD_CYCLES`] by default; the design-space
+    /// example sweeps it).
     pub invoke_overhead: u64,
 }
 
 impl Default for DepthEstimator {
     fn default() -> Self {
         DepthEstimator {
-            cost: CostModel::ppc405(),
-            ci_period_ns: 1e9 / 300e6,
-            invoke_overhead: 3,
+            invoke_overhead: FCB_OVERHEAD_CYCLES,
         }
     }
 }
@@ -179,7 +174,7 @@ impl Estimator for DepthEstimator {
         let sw_cycles: u64 = cand
             .insts
             .iter()
-            .map(|&iid| self.cost.inst_cycles(&f.inst(iid).kind))
+            .map(|&iid| inst_cycles(&f.inst(iid).kind))
             .sum();
 
         // Hardware: longest delay path through the member nodes.
@@ -205,7 +200,7 @@ impl Estimator for DepthEstimator {
             ffs += ff;
             dsps += d;
         }
-        let hw_cycles = (critical / self.ci_period_ns).ceil() as u64 + self.invoke_overhead;
+        let hw_cycles = (critical / CI_PERIOD_NS).ceil() as u64 + self.invoke_overhead;
 
         CandidateEstimate {
             sw_cycles,

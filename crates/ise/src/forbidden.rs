@@ -11,79 +11,41 @@
 
 use jitise_ir::{Dfg, Opcode};
 
-/// Decides which operations may be absorbed into a custom instruction.
-#[derive(Debug, Clone)]
-pub struct ForbiddenPolicy {
-    /// Whether integer division/remainder are allowed (they are large but
-    /// implementable datapath blocks; the paper's PivPav library contains
-    /// dividers — "the implementation of the shift operator is trivial in
-    /// contrast to a division").
-    pub allow_division: bool,
-    /// Whether floating-point operations are allowed (Woolcano instantiates
-    /// FP cores in the fabric; disable to model integer-only datapaths).
-    pub allow_float: bool,
-}
-
-impl Default for ForbiddenPolicy {
-    fn default() -> Self {
-        ForbiddenPolicy {
-            allow_division: true,
-            allow_float: true,
-        }
+/// True if `op` must stay on the CPU. Integer division and remainder are
+/// allowed: they are large but implementable datapath blocks, and the
+/// paper's PivPav library contains dividers ("the implementation of the
+/// shift operator is trivial in contrast to a division"). Floating-point
+/// operations are allowed because Woolcano instantiates FP cores in the
+/// fabric.
+pub fn is_forbidden(op: Opcode) -> bool {
+    match op {
+        // Memory and global state.
+        Opcode::Load | Opcode::Store | Opcode::Alloca | Opcode::GlobalAddr => true,
+        // Address arithmetic is pure arithmetic, but its value is a
+        // pointer consumed by loads/stores that stay on the CPU; fusing
+        // it buys nothing and complicates register transfer, so the
+        // standard policy forbids it as well.
+        Opcode::Gep => true,
+        // Control flow and calls.
+        Opcode::Call | Opcode::CallExt | Opcode::Phi => true,
+        // Already-customized instructions can't nest.
+        Opcode::Custom => true,
+        Opcode::Bin(_) | Opcode::Un(_) | Opcode::Cmp(_) | Opcode::Select => false,
     }
 }
 
-impl ForbiddenPolicy {
-    /// True if `op` must stay on the CPU.
-    pub fn is_forbidden(&self, op: Opcode) -> bool {
-        use jitise_ir::BinOp;
-        match op {
-            // Memory and global state.
-            Opcode::Load | Opcode::Store | Opcode::Alloca | Opcode::GlobalAddr => true,
-            // Address arithmetic is pure arithmetic, but its value is a
-            // pointer consumed by loads/stores that stay on the CPU; fusing
-            // it buys nothing and complicates register transfer, so the
-            // standard policy forbids it as well.
-            Opcode::Gep => true,
-            // Control flow and calls.
-            Opcode::Call | Opcode::CallExt | Opcode::Phi => true,
-            // Already-customized instructions can't nest.
-            Opcode::Custom => true,
-            Opcode::Bin(b) => match b {
-                BinOp::SDiv | BinOp::UDiv | BinOp::SRem | BinOp::URem => !self.allow_division,
-                BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv => !self.allow_float,
-                _ => false,
-            },
-            Opcode::Un(u) => {
-                use jitise_ir::UnOp;
-                match u {
-                    UnOp::FNeg | UnOp::FpExt | UnOp::FpTrunc | UnOp::FpToSi | UnOp::SiToFp => {
-                        !self.allow_float
-                    }
-                    _ => false,
-                }
-            }
-            Opcode::Cmp(c) => c.is_float() && !self.allow_float,
-            Opcode::Select => false,
-        }
-    }
+/// Per-node forbidden mask for a DFG.
+pub fn mask(dfg: &Dfg) -> Vec<bool> {
+    dfg.nodes.iter().map(|n| is_forbidden(n.opcode)).collect()
+}
 
-    /// Per-node forbidden mask for a DFG.
-    pub fn mask(&self, dfg: &Dfg) -> Vec<bool> {
-        dfg.nodes
-            .iter()
-            .map(|n| self.is_forbidden(n.opcode))
-            .collect()
+/// Fraction of a DFG's nodes that are forbidden.
+pub fn forbidden_frac(dfg: &Dfg) -> f64 {
+    if dfg.is_empty() {
+        return 0.0;
     }
-
-    /// Fraction of a DFG's nodes that are forbidden.
-    pub fn forbidden_frac(&self, dfg: &Dfg) -> f64 {
-        if dfg.is_empty() {
-            return 0.0;
-        }
-        let n = self.mask(dfg).iter().filter(|&&b| b).count();
-        n as f64 / dfg.len() as f64
-    }
+    let n = mask(dfg).iter().filter(|&&b| b).count();
+    n as f64 / dfg.len() as f64
 }
 
 #[cfg(test)]
@@ -93,7 +55,6 @@ mod tests {
 
     #[test]
     fn memory_and_control_forbidden() {
-        let p = ForbiddenPolicy::default();
         for op in [
             Opcode::Load,
             Opcode::Store,
@@ -105,13 +66,12 @@ mod tests {
             Opcode::Phi,
             Opcode::Custom,
         ] {
-            assert!(p.is_forbidden(op), "{op:?} must be forbidden");
+            assert!(is_forbidden(op), "{op:?} must be forbidden");
         }
     }
 
     #[test]
     fn arithmetic_allowed() {
-        let p = ForbiddenPolicy::default();
         for op in [
             Opcode::Bin(BinOp::Add),
             Opcode::Bin(BinOp::Mul),
@@ -121,21 +81,8 @@ mod tests {
             Opcode::Cmp(CmpOp::Slt),
             Opcode::Select,
         ] {
-            assert!(!p.is_forbidden(op), "{op:?} must be allowed");
+            assert!(!is_forbidden(op), "{op:?} must be allowed");
         }
-    }
-
-    #[test]
-    fn policy_toggles() {
-        let p = ForbiddenPolicy {
-            allow_division: false,
-            allow_float: false,
-        };
-        assert!(p.is_forbidden(Opcode::Bin(BinOp::UDiv)));
-        assert!(p.is_forbidden(Opcode::Bin(BinOp::FMul)));
-        assert!(p.is_forbidden(Opcode::Cmp(CmpOp::FOlt)));
-        assert!(p.is_forbidden(Opcode::Un(UnOp::SiToFp)));
-        assert!(!p.is_forbidden(Opcode::Bin(BinOp::Add)));
     }
 
     #[test]
@@ -148,8 +95,7 @@ mod tests {
         b.ret(x);
         let f = b.finish();
         let dfg = jitise_ir::Dfg::build(&f, BlockId(0));
-        let policy = ForbiddenPolicy::default();
-        assert_eq!(policy.mask(&dfg), vec![true, false, false, true]);
-        assert!((policy.forbidden_frac(&dfg) - 0.5).abs() < 1e-9);
+        assert_eq!(mask(&dfg), vec![true, false, false, true]);
+        assert!((forbidden_frac(&dfg) - 0.5).abs() < 1e-9);
     }
 }

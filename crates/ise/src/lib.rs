@@ -39,7 +39,6 @@ pub mod union;
 
 pub use candidate::Candidate;
 pub use estimate::{CandidateEstimate, DepthEstimator, Estimator};
-pub use forbidden::ForbiddenPolicy;
 pub use maxmiso::{maxmiso, maxmiso_function};
 pub use memo::{IdentOutcome, SearchMemo};
 pub use prune::{prune, PruneFilter, PruneResult};

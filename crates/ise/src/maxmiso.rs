@@ -19,7 +19,7 @@
 //!   violate single-output, validity, or disjointness.
 
 use crate::candidate::Candidate;
-use crate::forbidden::ForbiddenPolicy;
+use crate::forbidden::mask;
 use jitise_ir::{Dfg, Function};
 use jitise_vm::BlockKey;
 
@@ -37,15 +37,9 @@ pub struct MaxMisoResult {
 ///
 /// `min_size` drops trivial candidates (a single add gains nothing over the
 /// native instruction; the paper's candidates average 6.5–7.3 instructions).
-pub fn maxmiso(
-    f: &Function,
-    dfg: &Dfg,
-    key: BlockKey,
-    policy: &ForbiddenPolicy,
-    min_size: usize,
-) -> MaxMisoResult {
+pub fn maxmiso(f: &Function, dfg: &Dfg, key: BlockKey, min_size: usize) -> MaxMisoResult {
     let n = dfg.len();
-    let forbidden = policy.mask(dfg);
+    let forbidden = mask(dfg);
     // miso_of[node] = root node index of the MISO it belongs to.
     let mut miso_of: Vec<Option<u32>> = vec![None; n];
 
@@ -106,16 +100,11 @@ pub fn maxmiso(
 }
 
 /// Runs MAXMISO over every block of a function.
-pub fn maxmiso_function(
-    f: &Function,
-    fid: jitise_ir::FuncId,
-    policy: &ForbiddenPolicy,
-    min_size: usize,
-) -> Vec<Candidate> {
+pub fn maxmiso_function(f: &Function, fid: jitise_ir::FuncId, min_size: usize) -> Vec<Candidate> {
     let mut out = Vec::new();
     for (dfg, bid) in Dfg::build_all(f).iter().zip(f.block_ids()) {
         let key = BlockKey::new(fid, bid);
-        out.extend(maxmiso(f, dfg, key, policy, min_size).candidates);
+        out.extend(maxmiso(f, dfg, key, min_size).candidates);
     }
     out
 }
@@ -131,7 +120,7 @@ mod tests {
 
     fn run(f: &Function, min_size: usize) -> Vec<Candidate> {
         let dfg = Dfg::build(f, BlockId(0));
-        maxmiso(f, &dfg, key(), &ForbiddenPolicy::default(), min_size).candidates
+        maxmiso(f, &dfg, key(), min_size).candidates
     }
 
     #[test]
@@ -229,7 +218,7 @@ mod tests {
         bld.ret(g);
         let f = bld.finish();
         let dfg = Dfg::build(&f, BlockId(0));
-        let cands = maxmiso(&f, &dfg, key(), &ForbiddenPolicy::default(), 1).candidates;
+        let cands = maxmiso(&f, &dfg, key(), 1).candidates;
         let mut seen = vec![0u32; dfg.len()];
         for c in &cands {
             for &n in &c.nodes {
@@ -238,8 +227,7 @@ mod tests {
             assert_eq!(c.outputs, 1, "every MISO has a single output");
             assert!(c.is_convex(&dfg));
         }
-        let policy = ForbiddenPolicy::default();
-        let forbidden = policy.mask(&dfg);
+        let forbidden = mask(&dfg);
         for (i, &cnt) in seen.iter().enumerate() {
             if forbidden[i] {
                 assert_eq!(cnt, 0, "forbidden node {i} must not be covered");
@@ -261,7 +249,7 @@ mod tests {
         });
         bld.ret(Op::ci32(0));
         let f = bld.finish();
-        let cands = maxmiso_function(&f, FuncId(0), &ForbiddenPolicy::default(), 2);
+        let cands = maxmiso_function(&f, FuncId(0), 2);
         assert!(!cands.is_empty());
         // The x,y,z chain in the body must be found.
         assert!(cands.iter().any(|c| c.len() == 3));

@@ -19,9 +19,9 @@
 //! facts ([`jitise_ir::Escapes`]) are function-wide, so an edit elsewhere in
 //! the function can change this block's DFG without touching its own
 //! instructions. Identification results are additionally
-//! keyed by an algorithm-configuration signature (algorithm, policy, ports,
-//! minimum size), so differently-configured searches share one memo — and
-//! one `Dfg` — without colliding.
+//! keyed by a configuration signature (the algorithm), so searches with
+//! different algorithms share one memo — and one `Dfg` — without
+//! colliding.
 //!
 //! The memo is in-process only (it caches `Arc`s, not serialized bytes) and
 //! safe to share across worker lanes: entries are pure functions of
@@ -29,9 +29,7 @@
 //! wrong, and last-writer-wins insertion keeps results deterministic.
 
 use crate::candidate::Candidate;
-use crate::forbidden::ForbiddenPolicy;
 use crate::search::Algorithm;
-use crate::singlecut::PortConstraints;
 use jitise_base::hash::SigHasher;
 use jitise_base::sync::Mutex;
 use jitise_ir::{BlockId, Dfg, Function};
@@ -188,19 +186,12 @@ pub fn block_signature(func_sig: u64, block: BlockId) -> u64 {
 }
 
 /// Signature of everything the identification result depends on besides
-/// the block content: algorithm, feasibility policy, ports, minimum size.
-pub fn config_signature(
-    algorithm: Algorithm,
-    policy: &ForbiddenPolicy,
-    ports: PortConstraints,
-    min_size: usize,
-) -> u64 {
+/// the block content. The feasibility rule, ports and minimum size are
+/// fixed, so only the algorithm varies.
+pub fn config_signature(algorithm: Algorithm) -> u64 {
     let mut h = SigHasher::new();
     h.write_str("search-memo.cfg");
     h.write_str(&algorithm.to_string());
-    h.write_str(&format!("{policy:?}"));
-    h.write_str(&format!("{ports:?}"));
-    h.write_usize(min_size);
     h.finish()
 }
 
@@ -308,23 +299,12 @@ mod tests {
     }
 
     #[test]
-    fn config_signature_separates_algorithms_and_ports() {
-        let policy = ForbiddenPolicy::default();
-        let ports = PortConstraints::default();
-        let a = config_signature(Algorithm::MaxMiso, &policy, ports, 2);
-        let b = config_signature(Algorithm::SingleCut, &policy, ports, 2);
-        let c = config_signature(
-            Algorithm::SingleCut,
-            &policy,
-            PortConstraints {
-                max_inputs: 3,
-                max_outputs: 1,
-            },
-            2,
-        );
-        let d = config_signature(Algorithm::SingleCut, &policy, ports, 3);
-        assert!(a != b && b != c && c != d && a != c);
-        assert_eq!(a, config_signature(Algorithm::MaxMiso, &policy, ports, 2));
+    fn config_signature_separates_algorithms() {
+        let a = config_signature(Algorithm::MaxMiso);
+        let b = config_signature(Algorithm::SingleCut);
+        let c = config_signature(Algorithm::UnionMiso);
+        assert!(a != b && b != c && a != c);
+        assert_eq!(a, config_signature(Algorithm::MaxMiso));
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! performs — see [`crate::memo`] for the keying/invalidation rule.
 
 use crate::estimate::{CandidateEstimate, Estimator};
-use crate::forbidden::ForbiddenPolicy;
 use crate::maxmiso::maxmiso;
 use crate::memo::{self, IdentOutcome, SearchMemo};
 use crate::prune::{prune, PruneFilter, PruneResult};
@@ -58,21 +57,20 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-/// Configuration of one candidate search.
+/// Minimum candidate size in instructions: a one-instruction candidate
+/// gains nothing over the native instruction.
+const MIN_SIZE: usize = 2;
+
+/// Configuration of one candidate search. Identification always uses the
+/// feasibility rule of [`crate::forbidden`], the default 4-in/2-out
+/// [`PortConstraints`] (SingleCut / UnionMiso only) and candidates of at
+/// least two instructions; selection uses the default [`AreaBudget`].
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
     /// Pruning filter (use [`PruneFilter::none`] to disable).
     pub filter: PruneFilter,
     /// Identification algorithm.
     pub algorithm: Algorithm,
-    /// Feasibility policy.
-    pub policy: ForbiddenPolicy,
-    /// Port constraints (SingleCut / UnionMiso only).
-    pub ports: PortConstraints,
-    /// Minimum candidate size in instructions.
-    pub min_size: usize,
-    /// Area budget for selection.
-    pub budget: AreaBudget,
     /// Observability handle (disabled by default; zero overhead).
     pub telemetry: Telemetry,
     /// Worker lanes for identification and estimation. `1` (the default)
@@ -88,10 +86,6 @@ impl Default for SearchConfig {
         SearchConfig {
             filter: PruneFilter::paper_default(),
             algorithm: Algorithm::MaxMiso,
-            policy: ForbiddenPolicy::default(),
-            ports: PortConstraints::default(),
-            min_size: 2,
-            budget: AreaBudget::default(),
             telemetry: Telemetry::disabled(),
             workers: 1,
             memo: None,
@@ -239,17 +233,13 @@ pub fn candidate_search(
     }
     let build_dfg =
         |key: BlockKey| Dfg::build_with(module.func(key.func), key.block, &escapes[&key.func]);
-    let cfg_sig = memo::config_signature(
-        config.algorithm,
-        &config.policy,
-        config.ports,
-        config.min_size,
-    );
+    let cfg_sig = memo::config_signature(config.algorithm);
+    let ports = PortConstraints::default();
     let identify = |key: BlockKey, dfg: &Dfg| -> IdentOutcome {
         let f = module.func(key.func);
         match config.algorithm {
             Algorithm::MaxMiso => {
-                let r = maxmiso(f, dfg, key, &config.policy, config.min_size);
+                let r = maxmiso(f, dfg, key, MIN_SIZE);
                 IdentOutcome {
                     candidates: r.candidates,
                     explored: r.nodes_examined as u64,
@@ -257,7 +247,7 @@ pub fn candidate_search(
                 }
             }
             Algorithm::SingleCut => {
-                let r = single_cut(f, dfg, key, &config.policy, config.ports, config.min_size);
+                let r = single_cut(f, dfg, key, ports, MIN_SIZE);
                 IdentOutcome {
                     candidates: r.candidates,
                     explored: r.explored,
@@ -265,7 +255,7 @@ pub fn candidate_search(
                 }
             }
             Algorithm::UnionMiso => {
-                let r = union_miso(f, dfg, key, &config.policy, config.ports, config.min_size);
+                let r = union_miso(f, dfg, key, ports, MIN_SIZE);
                 IdentOutcome {
                     candidates: r.candidates,
                     explored: r.merges as u64,
@@ -368,7 +358,7 @@ pub fn candidate_search(
     // 4. Select under the area budget.
     let selection = {
         let _span = tel.span("ise.select");
-        select(pool, config.budget)
+        select(pool, AreaBudget::default())
     };
     tel.add(names::CANDIDATES_PRUNED, selection.rejected as u64);
     tel.add(names::CANDIDATES_SELECTED, selection.selected.len() as u64);

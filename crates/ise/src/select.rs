@@ -61,7 +61,9 @@ pub struct Selected {
 pub struct SelectionResult {
     /// Chosen candidates, highest merit first.
     pub selected: Vec<Selected>,
-    /// Candidates rejected for zero merit or budget exhaustion.
+    /// Candidates rejected for zero merit, budget exhaustion, or sharing
+    /// an instruction with a candidate selected before them (an
+    /// instruction can be replaced by one custom instruction only).
     pub rejected: usize,
     /// Total cycles the selection saves over the profiled run.
     pub total_saved_cycles: u64,
@@ -73,7 +75,10 @@ pub struct SelectionResult {
     pub dsps_used: u32,
 }
 
-/// Greedy selection by total merit under an area budget.
+/// Greedy selection by total merit under an area budget. A candidate
+/// that overlaps an already selected one is skipped, so the selection's
+/// savings never count an instruction twice (SINGLECUT enumerates
+/// overlapping cuts; MAXMISO's are disjoint).
 pub fn select(
     mut pool: Vec<(Candidate, CandidateEstimate)>,
     budget: AreaBudget,
@@ -92,6 +97,8 @@ pub fn select(
     let mut rejected = 0usize;
     let (mut luts, mut ffs, mut dsps) = (0u32, 0u32, 0u32);
     let mut saved = 0u64;
+    // Instructions covered by the selection: `taken[func][inst]`.
+    let mut taken: Vec<Vec<bool>> = Vec::new();
 
     for (candidate, estimate) in pool {
         // The budget is *per candidate*: every custom instruction is
@@ -108,9 +115,27 @@ pub fn select(
         let acceptable = estimate.merit() > 0
             || (budget.keep_marginal
                 && estimate.hw_cycles <= estimate.sw_cycles + budget.marginal_slack);
-        if !acceptable || !fits {
+        let func = candidate.key.func.idx();
+        let overlaps = || {
+            let covered = taken.get(func).map_or(&[][..], Vec::as_slice);
+            candidate
+                .insts
+                .iter()
+                .any(|i| covered.get(i.idx()) == Some(&true))
+        };
+        if !acceptable || !fits || overlaps() {
             rejected += 1;
             continue;
+        }
+        if taken.len() <= func {
+            taken.resize_with(func + 1, Vec::new);
+        }
+        let covered = &mut taken[func];
+        for i in &candidate.insts {
+            if covered.len() <= i.idx() {
+                covered.resize(i.idx() + 1, false);
+            }
+            covered[i.idx()] = true;
         }
         luts += estimate.luts;
         ffs += estimate.ffs;
@@ -151,10 +176,15 @@ mod tests {
     use jitise_ir::{BlockId, FuncId};
     use jitise_vm::BlockKey;
 
+    /// A candidate of function 0; instruction ids are unique per block,
+    /// as they are in a real function.
     fn cand(block: u32, nodes: Vec<u32>) -> Candidate {
         Candidate {
             key: BlockKey::new(FuncId(0), BlockId(block)),
-            insts: nodes.iter().map(|&n| jitise_ir::InstId(n)).collect(),
+            insts: nodes
+                .iter()
+                .map(|&n| jitise_ir::InstId(block * 100 + n))
+                .collect(),
             nodes,
             inputs: 2,
             outputs: 1,
@@ -184,6 +214,21 @@ mod tests {
         assert_eq!(r.selected.len(), 3);
         assert_eq!(r.selected[0].candidate.key.block, BlockId(1));
         assert_eq!(r.total_saved_cycles, 2100);
+    }
+
+    #[test]
+    fn overlapping_candidates_keep_only_the_higher_merit_one() {
+        let pool = vec![
+            (cand(0, vec![1, 2]), est(20, 5, 100, 10)), // merit 1500
+            (cand(0, vec![0, 1]), est(30, 5, 100, 10)), // merit 2500
+            (cand(1, vec![1, 2]), est(20, 5, 100, 10)), // another block
+        ];
+        let r = select(pool, AreaBudget::default());
+        let kept: Vec<_> = r.selected.iter().map(|s| &s.candidate.nodes).collect();
+        assert_eq!(kept, [&vec![0, 1], &vec![1, 2]]);
+        assert_eq!(r.selected[1].candidate.key.block, BlockId(1));
+        assert_eq!(r.rejected, 1, "the overlapping cut of block 0 is rejected");
+        assert_eq!(r.total_saved_cycles, 2500 + 1500);
     }
 
     #[test]

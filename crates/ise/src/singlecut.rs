@@ -42,7 +42,7 @@
 //! `old_bound_loses_maximal_cut_to_the_cap` below.
 
 use crate::candidate::{Candidate, OperandKey};
-use crate::forbidden::ForbiddenPolicy;
+use crate::forbidden::mask;
 use jitise_ir::{Dfg, Function, InstId, Operand};
 use jitise_vm::BlockKey;
 use std::collections::HashMap;
@@ -93,11 +93,10 @@ pub fn single_cut(
     f: &Function,
     dfg: &Dfg,
     key: BlockKey,
-    policy: &ForbiddenPolicy,
     ports: PortConstraints,
     min_size: usize,
 ) -> SingleCutResult {
-    single_cut_with(f, dfg, key, policy, ports, min_size, true, EXPLORATION_CAP)
+    single_cut_with(f, dfg, key, ports, min_size, true, EXPLORATION_CAP)
 }
 
 /// [`single_cut`] with the port bound and exploration cap exposed.
@@ -108,19 +107,17 @@ pub fn single_cut(
 /// explored count differs. The property-test suite relies on this to check
 /// the bound against brute force, and the regression tests use a small
 /// `cap` to demonstrate what the cap silently cost before the fix.
-#[allow(clippy::too_many_arguments)]
 pub fn single_cut_with(
     f: &Function,
     dfg: &Dfg,
     key: BlockKey,
-    policy: &ForbiddenPolicy,
     ports: PortConstraints,
     min_size: usize,
     port_bound: bool,
     cap: u64,
 ) -> SingleCutResult {
     let n = dfg.len();
-    let forbidden = policy.mask(dfg);
+    let forbidden = mask(dfg);
     let valid: Vec<u32> = (0..n as u32).filter(|&i| !forbidden[i as usize]).collect();
 
     // Suffix sums of per-node absorption capacity (see module docs):
@@ -388,7 +385,7 @@ mod tests {
 
     fn run(f: &Function, ports: PortConstraints, min: usize) -> SingleCutResult {
         let dfg = Dfg::build(f, BlockId(0));
-        single_cut(f, &dfg, key(), &ForbiddenPolicy::default(), ports, min)
+        single_cut(f, &dfg, key(), ports, min)
     }
 
     /// One producer fanned out to `consumers` escaping consumers: the shape
@@ -466,8 +463,7 @@ mod tests {
         let f = bld.finish();
         let dfg = Dfg::build(&f, BlockId(0));
         let res = run(&f, PortConstraints::default(), 1);
-        let policy = ForbiddenPolicy::default();
-        let forbidden = policy.mask(&dfg);
+        let forbidden = mask(&dfg);
         for c in &res.candidates {
             assert!(c.is_convex(&dfg));
             assert!(c.inputs <= 4 && c.outputs <= 2);
@@ -548,11 +544,10 @@ mod tests {
     fn old_bound_loses_maximal_cut_to_the_cap() {
         let f = wide_fanout(16);
         let dfg = Dfg::build(&f, BlockId(0));
-        let policy = ForbiddenPolicy::default();
         let ports = PortConstraints::default();
         let cap = 50_000; // 2^18 unpruned subsets >> cap >> pruned search
 
-        let old = single_cut_with(&f, &dfg, key(), &policy, ports, 2, false, cap);
+        let old = single_cut_with(&f, &dfg, key(), ports, 2, false, cap);
         assert!(old.cap_hit, "old bound must blow through the cap");
         assert!(
             old.candidates.is_empty(),
@@ -560,7 +555,7 @@ mod tests {
             old.candidates.iter().map(|c| &c.nodes).collect::<Vec<_>>()
         );
 
-        let fixed = single_cut_with(&f, &dfg, key(), &policy, ports, 2, true, cap);
+        let fixed = single_cut_with(&f, &dfg, key(), ports, 2, true, cap);
         assert!(!fixed.cap_hit, "fixed bound stays under the same cap");
         // {producer, consumer} pairs are the maximal 2-output cuts.
         assert!(
@@ -580,10 +575,9 @@ mod tests {
     fn bound_only_prunes_infeasible_subtrees() {
         let f = wide_fanout(8);
         let dfg = Dfg::build(&f, BlockId(0));
-        let policy = ForbiddenPolicy::default();
         let ports = PortConstraints::default();
-        let with = single_cut_with(&f, &dfg, key(), &policy, ports, 2, true, u64::MAX);
-        let without = single_cut_with(&f, &dfg, key(), &policy, ports, 2, false, u64::MAX);
+        let with = single_cut_with(&f, &dfg, key(), ports, 2, true, u64::MAX);
+        let without = single_cut_with(&f, &dfg, key(), ports, 2, false, u64::MAX);
         assert!(!with.cap_hit && !without.cap_hit);
         let nodes = |r: &SingleCutResult| {
             let mut v: Vec<Vec<u32>> = r.candidates.iter().map(|c| c.nodes.clone()).collect();
@@ -598,16 +592,7 @@ mod tests {
     fn cap_hit_is_reported_not_silent() {
         let f = wide_fanout(12);
         let dfg = Dfg::build(&f, BlockId(0));
-        let res = single_cut_with(
-            &f,
-            &dfg,
-            key(),
-            &ForbiddenPolicy::default(),
-            PortConstraints::default(),
-            2,
-            false,
-            100,
-        );
+        let res = single_cut_with(&f, &dfg, key(), PortConstraints::default(), 2, false, 100);
         assert!(res.cap_hit);
         assert_eq!(res.explored, 101, "counts stop right past the cap");
     }

@@ -7,7 +7,6 @@
 //! port limits as the exact enumeration.
 
 use crate::candidate::Candidate;
-use crate::forbidden::ForbiddenPolicy;
 use crate::maxmiso::maxmiso;
 use crate::singlecut::PortConstraints;
 use jitise_ir::{Dfg, Function};
@@ -55,11 +54,10 @@ pub fn union_miso(
     f: &Function,
     dfg: &Dfg,
     key: BlockKey,
-    policy: &ForbiddenPolicy,
     ports: PortConstraints,
     min_size: usize,
 ) -> UnionMisoResult {
-    let base = maxmiso(f, dfg, key, policy, 1);
+    let base = maxmiso(f, dfg, key, 1);
     let mut clusters: Vec<Candidate> = base.candidates;
     let mut merges = 0usize;
 
@@ -130,14 +128,7 @@ mod tests {
         bld.ret(s);
         let f = bld.finish();
         let dfg = Dfg::build(&f, BlockId(0));
-        let res = union_miso(
-            &f,
-            &dfg,
-            key(),
-            &ForbiddenPolicy::default(),
-            PortConstraints::default(),
-            1,
-        );
+        let res = union_miso(&f, &dfg, key(), PortConstraints::default(), 1);
         assert_eq!(res.merges, 1);
         assert_eq!(res.candidates.len(), 1);
         let big = &res.candidates[0];
@@ -169,7 +160,6 @@ mod tests {
             &f,
             &dfg,
             key(),
-            &ForbiddenPolicy::default(),
             PortConstraints {
                 max_inputs: 4,
                 max_outputs: 2,
@@ -193,14 +183,7 @@ mod tests {
         bld.ret(s);
         let f = bld.finish();
         let dfg = Dfg::build(&f, BlockId(0));
-        let res = union_miso(
-            &f,
-            &dfg,
-            key(),
-            &ForbiddenPolicy::default(),
-            PortConstraints::default(),
-            1,
-        );
+        let res = union_miso(&f, &dfg, key(), PortConstraints::default(), 1);
         assert_eq!(res.merges, 0);
         assert_eq!(res.candidates.len(), 2);
     }

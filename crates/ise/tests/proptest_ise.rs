@@ -3,9 +3,8 @@
 //! signature stability, and pruning-filter algebra.
 
 use jitise_ir::{BlockId, Dfg, FuncId, Function, FunctionBuilder, Operand as Op, Type};
-use jitise_ise::{
-    maxmiso, prune, single_cut, Candidate, ForbiddenPolicy, PortConstraints, PruneFilter,
-};
+use jitise_ise::forbidden::mask;
+use jitise_ise::{maxmiso, prune, single_cut, Candidate, PortConstraints, PruneFilter};
 use jitise_vm::{BlockKey, Profile};
 use proptest::prelude::*;
 
@@ -63,9 +62,8 @@ proptest! {
     fn maxmiso_partitions_valid_nodes(spec in graph()) {
         let f = build(&spec);
         let dfg = Dfg::build(&f, BlockId(0));
-        let policy = ForbiddenPolicy::default();
-        let res = maxmiso(&f, &dfg, key(), &policy, 1);
-        let forbidden = policy.mask(&dfg);
+        let res = maxmiso(&f, &dfg, key(), 1);
+        let forbidden = mask(&dfg);
         let mut covered = vec![0u8; dfg.len()];
         for c in &res.candidates {
             prop_assert_eq!(c.outputs, 1);
@@ -109,9 +107,8 @@ proptest! {
         // invariant (single output / validity / disjointness).
         let f = build(&spec);
         let dfg = Dfg::build(&f, BlockId(0));
-        let policy = ForbiddenPolicy::default();
-        let res = maxmiso(&f, &dfg, key(), &policy, 1);
-        let forbidden = policy.mask(&dfg);
+        let res = maxmiso(&f, &dfg, key(), 1);
+        let forbidden = mask(&dfg);
         for c in &res.candidates {
             let member: std::collections::HashSet<u32> = c.nodes.iter().copied().collect();
             for &n in &c.nodes {
@@ -140,7 +137,7 @@ proptest! {
         let dfg = Dfg::build(&f, BlockId(0));
         prop_assume!(dfg.len() <= 22); // keep the exponential search bounded
         let ports = PortConstraints { max_inputs: 3, max_outputs: 1 };
-        let res = single_cut(&f, &dfg, key(), &ForbiddenPolicy::default(), ports, 1);
+        let res = single_cut(&f, &dfg, key(), ports, 1);
         for c in &res.candidates {
             prop_assert!(c.inputs <= 3);
             prop_assert!(c.outputs <= 1);
@@ -152,7 +149,7 @@ proptest! {
     fn signatures_stable_and_order_independent(spec in graph()) {
         let f = build(&spec);
         let dfg = Dfg::build(&f, BlockId(0));
-        let res = maxmiso(&f, &dfg, key(), &ForbiddenPolicy::default(), 2);
+        let res = maxmiso(&f, &dfg, key(), 2);
         for c in &res.candidates {
             let sig = c.signature(&f, &dfg);
             let mut shuffled = c.nodes.clone();

@@ -10,7 +10,8 @@
 //! slack argument (see the singlecut module docs).
 
 use jitise_ir::{BlockId, CmpOp, Dfg, FuncId, Function, FunctionBuilder, Operand as Op, Type};
-use jitise_ise::{single_cut_with, Candidate, ForbiddenPolicy, PortConstraints};
+use jitise_ise::forbidden::mask;
+use jitise_ise::{single_cut_with, Candidate, PortConstraints};
 use jitise_vm::BlockKey;
 use proptest::prelude::*;
 
@@ -69,14 +70,8 @@ fn key() -> BlockKey {
 /// The ground truth: enumerate every subset of the valid nodes, keep the
 /// feasible ones (convex, within ports, at least `min_size`), then keep
 /// only those with no feasible strict superset.
-fn brute_force(
-    f: &Function,
-    dfg: &Dfg,
-    policy: &ForbiddenPolicy,
-    ports: PortConstraints,
-    min_size: usize,
-) -> Vec<Vec<u32>> {
-    let forbidden = policy.mask(dfg);
+fn brute_force(f: &Function, dfg: &Dfg, ports: PortConstraints, min_size: usize) -> Vec<Vec<u32>> {
+    let forbidden = mask(dfg);
     let valid: Vec<u32> = (0..dfg.len() as u32)
         .filter(|&i| !forbidden[i as usize])
         .collect();
@@ -130,18 +125,17 @@ proptest! {
     ) {
         let f = build(&spec);
         let dfg = Dfg::build(&f, BlockId(0));
-        let policy = ForbiddenPolicy::default();
-        let forbidden = policy.mask(&dfg);
+        let forbidden = mask(&dfg);
         let valid = forbidden.iter().filter(|&&x| !x).count();
         prop_assume!(valid <= 12);
         let ports = PortConstraints { max_inputs, max_outputs };
 
-        let expected = brute_force(&f, &dfg, &policy, ports, min_size);
+        let expected = brute_force(&f, &dfg, ports, min_size);
         let with = single_cut_with(
-            &f, &dfg, key(), &policy, ports, min_size, true, u64::MAX,
+            &f, &dfg, key(), ports, min_size, true, u64::MAX,
         );
         let without = single_cut_with(
-            &f, &dfg, key(), &policy, ports, min_size, false, u64::MAX,
+            &f, &dfg, key(), ports, min_size, false, u64::MAX,
         );
         prop_assert!(!with.cap_hit && !without.cap_hit);
         prop_assert_eq!(&sorted_nodes(&with.candidates), &expected,

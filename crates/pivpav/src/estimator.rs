@@ -8,20 +8,16 @@
 use crate::db::CircuitDb;
 use jitise_ir::{Dfg, Function};
 use jitise_ise::{Candidate, CandidateEstimate, Estimator};
-use jitise_vm::CostModel;
+use jitise_vm::cost::{inst_cycles, CI_PERIOD_NS, FCB_OVERHEAD_CYCLES};
 
-/// PivPav estimator: software side from the CPU cost model, hardware side
-/// from database core metrics along the candidate's critical path.
+/// PivPav estimator: software side from the PPC405 cost model, hardware
+/// side from database core metrics along the candidate's critical path,
+/// clocked at [`CI_PERIOD_NS`] plus the [`FCB_OVERHEAD_CYCLES`] issue
+/// cost.
 #[derive(Debug)]
 pub struct PivPavEstimator {
     /// The circuit database.
     pub db: CircuitDb,
-    /// Base CPU model.
-    pub cost: CostModel,
-    /// CI clock period (ns).
-    pub ci_period_ns: f64,
-    /// FCB/APU invocation overhead in cycles.
-    pub invoke_overhead: u64,
 }
 
 impl PivPavEstimator {
@@ -32,12 +28,7 @@ impl PivPavEstimator {
 
     /// Estimator over `db` with the default Woolcano parameters.
     pub fn with_db(db: CircuitDb) -> Self {
-        PivPavEstimator {
-            db,
-            cost: CostModel::ppc405(),
-            ci_period_ns: 1e9 / 300e6,
-            invoke_overhead: 3,
-        }
+        PivPavEstimator { db }
     }
 }
 
@@ -58,7 +49,7 @@ impl Estimator for PivPavEstimator {
         let sw_cycles: u64 = cand
             .insts
             .iter()
-            .map(|&iid| self.cost.inst_cycles(&f.inst(iid).kind))
+            .map(|&iid| inst_cycles(&f.inst(iid).kind))
             .sum();
 
         let member = cand.mask(dfg);
@@ -95,7 +86,7 @@ impl Estimator for PivPavEstimator {
             ffs += ff;
             dsps += d;
         }
-        let hw_cycles = (critical / self.ci_period_ns).ceil() as u64 + self.invoke_overhead;
+        let hw_cycles = (critical / CI_PERIOD_NS).ceil() as u64 + FCB_OVERHEAD_CYCLES;
 
         CandidateEstimate {
             sw_cycles,
@@ -112,7 +103,7 @@ impl Estimator for PivPavEstimator {
 mod tests {
     use super::*;
     use jitise_ir::{BlockId, FuncId, FunctionBuilder, Operand as Op, Type};
-    use jitise_ise::{DepthEstimator, ForbiddenPolicy};
+    use jitise_ise::DepthEstimator;
     use jitise_vm::BlockKey;
 
     fn mul_chain() -> (Function, Dfg, Candidate) {
@@ -123,15 +114,9 @@ mod tests {
         b.ret(z);
         let f = b.finish();
         let dfg = Dfg::build(&f, BlockId(0));
-        let c = jitise_ise::maxmiso(
-            &f,
-            &dfg,
-            BlockKey::new(FuncId(0), BlockId(0)),
-            &ForbiddenPolicy::default(),
-            2,
-        )
-        .candidates
-        .remove(0);
+        let c = jitise_ise::maxmiso(&f, &dfg, BlockKey::new(FuncId(0), BlockId(0)), 2)
+            .candidates
+            .remove(0);
         (f, dfg, c)
     }
 

@@ -166,7 +166,6 @@ pub fn create_project_with(
 mod tests {
     use super::*;
     use jitise_ir::{BlockId, FuncId, FunctionBuilder, Operand as Op, Type};
-    use jitise_ise::ForbiddenPolicy;
     use jitise_vm::BlockKey;
 
     fn mk_candidate() -> (Function, Dfg, Candidate) {
@@ -178,15 +177,9 @@ mod tests {
         b.ret(w);
         let f = b.finish();
         let dfg = Dfg::build(&f, BlockId(0));
-        let c = jitise_ise::maxmiso(
-            &f,
-            &dfg,
-            BlockKey::new(FuncId(0), BlockId(0)),
-            &ForbiddenPolicy::default(),
-            2,
-        )
-        .candidates
-        .remove(0);
+        let c = jitise_ise::maxmiso(&f, &dfg, BlockKey::new(FuncId(0), BlockId(0)), 2)
+            .candidates
+            .remove(0);
         (f, dfg, c)
     }
 

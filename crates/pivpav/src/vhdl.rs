@@ -144,8 +144,8 @@ fn port_name(i: usize) -> &'static str {
 /// Generates the datapath for a candidate.
 ///
 /// Fails with [`Error::Pivpav`] if a member opcode has no core in the
-/// database (cannot happen for candidates produced with the default
-/// [`jitise_ise::ForbiddenPolicy`]).
+/// database (cannot happen for candidates that pass
+/// [`jitise_ise::forbidden::is_forbidden`]).
 pub fn generate_datapath(
     db: &CircuitDb,
     f: &Function,
@@ -270,7 +270,6 @@ fn ext_signal(
 mod tests {
     use super::*;
     use jitise_ir::{BlockId, FuncId, FunctionBuilder, Operand as Op, Type};
-    use jitise_ise::ForbiddenPolicy;
     use jitise_vm::BlockKey;
 
     fn candidate_and_ctx() -> (Function, Dfg, Candidate) {
@@ -281,14 +280,8 @@ mod tests {
         b.ret(z);
         let f = b.finish();
         let dfg = Dfg::build(&f, BlockId(0));
-        let cands = jitise_ise::maxmiso(
-            &f,
-            &dfg,
-            BlockKey::new(FuncId(0), BlockId(0)),
-            &ForbiddenPolicy::default(),
-            2,
-        )
-        .candidates;
+        let cands =
+            jitise_ise::maxmiso(&f, &dfg, BlockKey::new(FuncId(0), BlockId(0)), 2).candidates;
         let cand = cands.into_iter().next().expect("one candidate");
         (f, dfg, cand)
     }

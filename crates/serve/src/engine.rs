@@ -35,7 +35,7 @@ use jitise_core::{
     evict, hydrate, specialize, worker_fault, BitstreamCache, DegradedReason, EvalContext,
     SpecializeConfig, SpecializeReport, WorkloadSession,
 };
-use jitise_faults::{FaultInjector, Quarantine, RetryPolicy};
+use jitise_faults::{FaultInjector, Quarantine};
 use jitise_ir::Module;
 use jitise_ise::{SearchConfig, SearchMemo};
 use jitise_store::Store;
@@ -44,6 +44,9 @@ use jitise_vm::Value;
 use jitise_woolcano::Woolcano;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+
+/// DRR quantum of the timing post-pass: a minute of simulated CAD time.
+const QUANTUM: SimTime = SimTime::from_secs(60);
 
 /// Knobs for one serve run. Everything observable is a pure function of
 /// this config (and the store's recovered state, when present).
@@ -88,12 +91,8 @@ pub struct ServeConfig {
     /// entry is evicted (and journaled as a [`Record::Evict`]
     /// tombstone).
     pub cache_capacity: usize,
-    /// DRR quantum for the timing post-pass.
-    pub quantum: SimTime,
     /// Fault handle; scoped per tenant via `for_tenant(id).at_epoch(id)`.
     pub faults: FaultInjector,
-    /// Retry policy shared by every tenant's pipeline.
-    pub retry: RetryPolicy,
     /// Optional crash-consistent store. Hydrates the shared cache and
     /// quarantine at start (warm restart) and journals every commit and
     /// eviction during the run.
@@ -123,10 +122,8 @@ impl Default for ServeConfig {
             kernels: 2,
             hot_iters: 40,
             cache_capacity: 64,
-            quantum: SimTime::from_secs(60),
             near_duplicate: false,
             faults: FaultInjector::disabled(),
-            retry: RetryPolicy::default(),
             store: None,
             overlay: None,
             telemetry: Telemetry::disabled(),
@@ -401,7 +398,6 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
                     },
                     telemetry: tel.clone(),
                     faults: tinj,
-                    retry: config.retry,
                     quarantine: Arc::clone(&quarantine),
                     cad_workers: config.cad_workers,
                     store: config.store.clone(),
@@ -520,7 +516,7 @@ pub fn run_serve(ctx: &EvalContext, config: &ServeConfig) -> Result<ServeOutcome
     // ---- Layer 3: DRR timing post-pass (lane-dependent). ----
     let drr = DrrConfig {
         lanes: config.cad_workers.max(1),
-        quantum: config.quantum,
+        quantum: QUANTUM,
     };
     let schedule = drr_dispatch(&pool_jobs, &drr);
     let mut max_rounds = 0u32;

@@ -14,9 +14,9 @@ use jitise_base::{Error, Result, SimTime};
 use jitise_cad::{Bitstream, InstallTier, TimingReport};
 use std::collections::BTreeMap;
 
-/// A persisted bitstream-cache entry: everything a warm restart needs to
-/// serve the candidate without re-running phases 2–3 (mirrors
-/// `jitise_core::CachedCi`, which lives upstream of this crate).
+/// A bitstream-cache entry, in memory and persisted: everything a warm
+/// restart needs to serve the candidate without re-running phases 2–3.
+/// `jitise_core::BitstreamCache` holds these, keyed by signature.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CiRecord {
     /// Candidate signature (the cache key).

@@ -130,9 +130,6 @@ pub mod names {
     pub const BITSTREAM_CACHE_POISONED: &str = "bitstream_cache.poisoned";
     /// Adaptive sessions degraded to software-only execution.
     pub const RUNTIME_DEGRADED: &str = "runtime.degraded";
-    /// Cache entries dropped by a resilient image load or a store
-    /// recovery because their bitstream failed its CRC.
-    pub const BITSTREAM_CACHE_DROPPED: &str = "bitstream_cache.dropped";
     /// Persistent-store recoveries performed (one per `Store::open`).
     pub const STORE_RECOVERIES: &str = "store.recoveries";
     /// Records replayed from snapshot + WAL during recovery.
@@ -288,11 +285,6 @@ impl Telemetry {
     /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Nanoseconds of host time since this handle's epoch (0 if disabled).
-    pub fn elapsed_ns(&self) -> u64 {
-        self.inner.as_deref().map_or(0, Inner::now_ns)
     }
 
     /// Opens a span. It closes (and is recorded) when the guard drops.

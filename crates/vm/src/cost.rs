@@ -20,133 +20,114 @@ use jitise_ir::{BinOp, ExtFunc, InstKind, Opcode, UnOp};
 /// Core clock of the PPC405 in the Virtex-4 FX100 (speed grade -10).
 pub const PPC405_CLOCK_HZ: u64 = 300_000_000;
 
-/// Cycle-cost model for one CPU implementation.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Core clock in Hz (converts cycles to time).
-    pub clock_hz: u64,
-    /// Extra dispatch cycles per interpreted instruction (used by the
-    /// VM-overhead model; zero when modeling native/JIT-compiled code).
-    pub dispatch_overhead: u64,
-}
+/// Period of one custom-instruction cycle in ns. Woolcano clocks its CIs
+/// with the CPU clock, so 300 MHz gives 3.33 ns.
+pub const CI_PERIOD_NS: f64 = 1e9 / PPC405_CLOCK_HZ as f64;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::ppc405()
-    }
-}
+/// Cycles to issue a custom instruction and read back its result over
+/// Woolcano's FCB interface (§II).
+pub const FCB_OVERHEAD_CYCLES: u64 = 3;
 
-impl CostModel {
-    /// The Woolcano base CPU model.
-    pub fn ppc405() -> CostModel {
-        CostModel {
-            clock_hz: PPC405_CLOCK_HZ,
-            dispatch_overhead: 0,
-        }
-    }
-
-    /// Cycles for one dynamic instruction.
-    pub fn inst_cycles(&self, kind: &InstKind) -> u64 {
-        let base = match kind {
-            InstKind::Bin(op, ..) => match op {
-                BinOp::Add | BinOp::Sub | BinOp::And | BinOp::Or | BinOp::Xor => 1,
-                BinOp::Shl | BinOp::LShr | BinOp::AShr => 1,
-                BinOp::Mul => 4,
-                BinOp::SDiv | BinOp::UDiv | BinOp::SRem | BinOp::URem => 35,
-                // The PPC405 has NO hardware FPU: floating point is
-                // software-emulated (integer sequences), which is precisely
-                // why float kernels gain so much from hardware CIs in the
-                // paper (whetstone: 17.78x ceiling).
-                BinOp::FAdd | BinOp::FSub => 40,
-                BinOp::FMul => 45,
-                BinOp::FDiv => 150,
-            },
-            InstKind::Un(op, ..) => match op {
-                UnOp::Neg | UnOp::Not => 1,
-                UnOp::Trunc | UnOp::ZExt | UnOp::SExt => 1,
-                UnOp::FNeg => 8,
-                UnOp::FpToSi | UnOp::SiToFp => 30,
-                UnOp::FpExt | UnOp::FpTrunc => 15,
-            },
-            InstKind::Cmp(op, ..) => {
-                if op.is_float() {
-                    25
-                } else {
-                    1
-                }
+/// Cycles for one dynamic instruction.
+pub fn inst_cycles(kind: &InstKind) -> u64 {
+    match kind {
+        InstKind::Bin(op, ..) => match op {
+            BinOp::Add | BinOp::Sub | BinOp::And | BinOp::Or | BinOp::Xor => 1,
+            BinOp::Shl | BinOp::LShr | BinOp::AShr => 1,
+            BinOp::Mul => 4,
+            BinOp::SDiv | BinOp::UDiv | BinOp::SRem | BinOp::URem => 35,
+            // The PPC405 has NO hardware FPU: floating point is
+            // software-emulated (integer sequences), which is precisely
+            // why float kernels gain so much from hardware CIs in the
+            // paper (whetstone: 17.78x ceiling).
+            BinOp::FAdd | BinOp::FSub => 40,
+            BinOp::FMul => 45,
+            BinOp::FDiv => 150,
+        },
+        InstKind::Un(op, ..) => match op {
+            UnOp::Neg | UnOp::Not => 1,
+            UnOp::Trunc | UnOp::ZExt | UnOp::SExt => 1,
+            UnOp::FNeg => 8,
+            UnOp::FpToSi | UnOp::SiToFp => 30,
+            UnOp::FpExt | UnOp::FpTrunc => 15,
+        },
+        InstKind::Cmp(op, ..) => {
+            if op.is_float() {
+                25
+            } else {
+                1
             }
-            InstKind::Select(..) => 2,
-            // Cache-hit latencies; the PPC405 D-cache is 2-cycle load-use.
-            InstKind::Load(..) => 2,
-            InstKind::Store(..) => 2,
-            InstKind::Gep { .. } => 1,
-            InstKind::Alloca(..) => 2,
-            InstKind::GlobalAddr(..) => 1,
-            // Call overhead (prologue/epilogue, link register).
-            InstKind::Call(..) => 8,
-            InstKind::CallExt(ef, ..) => Self::ext_cycles(*ef),
-            // Phis are resolved at block entry; charge the move.
-            InstKind::Phi(..) => 1,
-            // Custom instruction cost is charged by the CustomHandler, not
-            // here; the base cost is the FCB/APU issue overhead.
-            InstKind::Custom(..) => 0,
-        };
-        base + self.dispatch_overhead
-    }
-
-    /// Cycles for a libm call on this core (soft-float polynomial
-    /// evaluation on an integer-only CPU — hundreds of cycles each).
-    pub fn ext_cycles(f: ExtFunc) -> u64 {
-        match f {
-            ExtFunc::Fabs | ExtFunc::Floor => 20,
-            ExtFunc::Sqrt => 250,
-            ExtFunc::Sin | ExtFunc::Cos => 600,
-            ExtFunc::Atan => 700,
-            ExtFunc::Exp | ExtFunc::Log => 500,
-            ExtFunc::Pow => 900,
         }
+        InstKind::Select(..) => 2,
+        // Cache-hit latencies; the PPC405 D-cache is 2-cycle load-use.
+        InstKind::Load(..) => 2,
+        InstKind::Store(..) => 2,
+        InstKind::Gep { .. } => 1,
+        InstKind::Alloca(..) => 2,
+        InstKind::GlobalAddr(..) => 1,
+        // Call overhead (prologue/epilogue, link register).
+        InstKind::Call(..) => 8,
+        InstKind::CallExt(ef, ..) => ext_cycles(*ef),
+        // Phis are resolved at block entry; charge the move.
+        InstKind::Phi(..) => 1,
+        // Custom instruction cost is charged by the CustomHandler, not
+        // here; the base cost is the FCB/APU issue overhead.
+        InstKind::Custom(..) => 0,
     }
+}
 
-    /// Cycles charged per taken control-flow transfer (branch resolution in
-    /// the PPC405 pipeline).
-    pub fn branch_cycles(&self) -> u64 {
-        2 + self.dispatch_overhead
+/// Cycles for a libm call on this core (soft-float polynomial evaluation
+/// on an integer-only CPU — hundreds of cycles each).
+pub fn ext_cycles(f: ExtFunc) -> u64 {
+    match f {
+        ExtFunc::Fabs | ExtFunc::Floor => 20,
+        ExtFunc::Sqrt => 250,
+        ExtFunc::Sin | ExtFunc::Cos => 600,
+        ExtFunc::Atan => 700,
+        ExtFunc::Exp | ExtFunc::Log => 500,
+        ExtFunc::Pow => 900,
     }
+}
 
-    /// Software cycles for the flat opcode, used by the ISE estimator when
-    /// pricing a candidate's software execution. Uses representative
-    /// instances of each opcode class.
-    pub fn opcode_cycles(&self, op: Opcode) -> u64 {
-        use jitise_ir::Operand;
-        let dummy = Operand::ci32(0);
-        let kind = match op {
-            Opcode::Bin(b) => InstKind::Bin(b, dummy, dummy),
-            Opcode::Un(u) => InstKind::Un(u, dummy),
-            Opcode::Cmp(c) => InstKind::Cmp(c, dummy, dummy),
-            Opcode::Select => InstKind::Select(dummy, dummy, dummy),
-            Opcode::Load => InstKind::Load(dummy),
-            Opcode::Store => InstKind::Store(dummy, dummy),
-            Opcode::Gep => InstKind::Gep {
-                base: dummy,
-                index: dummy,
-                elem_bytes: 4,
-            },
-            Opcode::Alloca => InstKind::Alloca(4),
-            Opcode::GlobalAddr => InstKind::GlobalAddr(jitise_ir::GlobalId(0)),
-            Opcode::Call => InstKind::Call(jitise_ir::FuncId(0), vec![]),
-            Opcode::CallExt => InstKind::CallExt(ExtFunc::Sqrt, vec![]),
-            Opcode::Phi => InstKind::Phi(vec![]),
-            Opcode::Custom => InstKind::Custom(0, vec![]),
-        };
-        self.inst_cycles(&kind)
-    }
+/// Cycles charged per taken control-flow transfer (branch resolution in
+/// the PPC405 pipeline).
+pub const fn branch_cycles() -> u64 {
+    2
+}
 
-    /// Converts a cycle count to simulated time at this core's clock.
-    pub fn cycles_to_time(&self, cycles: u64) -> SimTime {
-        // ns = cycles * 1e9 / hz, computed in u128 to avoid overflow.
-        let ns = (cycles as u128 * 1_000_000_000u128) / self.clock_hz as u128;
-        SimTime::from_nanos(ns as u64)
-    }
+/// Software cycles for the flat opcode, used by the ISE estimator when
+/// pricing a candidate's software execution. Uses representative
+/// instances of each opcode class.
+pub fn opcode_cycles(op: Opcode) -> u64 {
+    use jitise_ir::Operand;
+    let dummy = Operand::ci32(0);
+    let kind = match op {
+        Opcode::Bin(b) => InstKind::Bin(b, dummy, dummy),
+        Opcode::Un(u) => InstKind::Un(u, dummy),
+        Opcode::Cmp(c) => InstKind::Cmp(c, dummy, dummy),
+        Opcode::Select => InstKind::Select(dummy, dummy, dummy),
+        Opcode::Load => InstKind::Load(dummy),
+        Opcode::Store => InstKind::Store(dummy, dummy),
+        Opcode::Gep => InstKind::Gep {
+            base: dummy,
+            index: dummy,
+            elem_bytes: 4,
+        },
+        Opcode::Alloca => InstKind::Alloca(4),
+        Opcode::GlobalAddr => InstKind::GlobalAddr(jitise_ir::GlobalId(0)),
+        Opcode::Call => InstKind::Call(jitise_ir::FuncId(0), vec![]),
+        Opcode::CallExt => InstKind::CallExt(ExtFunc::Sqrt, vec![]),
+        Opcode::Phi => InstKind::Phi(vec![]),
+        Opcode::Custom => InstKind::Custom(0, vec![]),
+    };
+    inst_cycles(&kind)
+}
+
+/// Converts a cycle count to simulated time at the PPC405 clock.
+pub fn cycles_to_time(cycles: u64) -> SimTime {
+    // ns = cycles * 1e9 / hz, computed in u128 to avoid overflow.
+    let ns = (cycles as u128 * 1_000_000_000u128) / PPC405_CLOCK_HZ as u128;
+    SimTime::from_nanos(ns as u64)
 }
 
 #[cfg(test)]
@@ -156,24 +137,10 @@ mod tests {
 
     #[test]
     fn relative_costs_sane() {
-        let m = CostModel::ppc405();
-        let add = m.inst_cycles(&InstKind::Bin(
-            BinOp::Add,
-            Operand::ci32(0),
-            Operand::ci32(0),
-        ));
-        let mul = m.inst_cycles(&InstKind::Bin(
-            BinOp::Mul,
-            Operand::ci32(0),
-            Operand::ci32(0),
-        ));
-        let div = m.inst_cycles(&InstKind::Bin(
-            BinOp::SDiv,
-            Operand::ci32(0),
-            Operand::ci32(0),
-        ));
+        let cycles = |op| inst_cycles(&InstKind::Bin(op, Operand::ci32(0), Operand::ci32(0)));
+        let (add, mul, div) = (cycles(BinOp::Add), cycles(BinOp::Mul), cycles(BinOp::SDiv));
         assert!(add < mul && mul < div, "add < mul < div must hold");
-        let fdiv = m.inst_cycles(&InstKind::Bin(
+        let fdiv = inst_cycles(&InstKind::Bin(
             BinOp::FDiv,
             Operand::cf64(0.0),
             Operand::cf64(0.0),
@@ -182,31 +149,22 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_overhead_applies() {
-        let mut m = CostModel::ppc405();
-        let base = m.opcode_cycles(Opcode::Bin(BinOp::Add));
-        m.dispatch_overhead = 10;
-        assert_eq!(m.opcode_cycles(Opcode::Bin(BinOp::Add)), base + 10);
-    }
-
-    #[test]
     fn cycles_to_time_at_300mhz() {
-        let m = CostModel::ppc405();
         // 300 cycles at 300 MHz = 1 µs.
-        assert_eq!(m.cycles_to_time(300), SimTime::from_micros(1));
+        assert_eq!(cycles_to_time(300), SimTime::from_micros(1));
         // 3e8 cycles = 1 s.
-        assert_eq!(m.cycles_to_time(300_000_000), SimTime::from_secs(1));
+        assert_eq!(cycles_to_time(300_000_000), SimTime::from_secs(1));
+        assert_eq!(CI_PERIOD_NS, 1e9 / 300e6);
     }
 
     #[test]
     fn ext_costs_ordered() {
-        assert!(CostModel::ext_cycles(ExtFunc::Fabs) < CostModel::ext_cycles(ExtFunc::Sqrt));
-        assert!(CostModel::ext_cycles(ExtFunc::Sqrt) < CostModel::ext_cycles(ExtFunc::Pow));
+        assert!(ext_cycles(ExtFunc::Fabs) < ext_cycles(ExtFunc::Sqrt));
+        assert!(ext_cycles(ExtFunc::Sqrt) < ext_cycles(ExtFunc::Pow));
     }
 
     #[test]
     fn opcode_cycles_covers_all_classes() {
-        let m = CostModel::ppc405();
         for op in [
             Opcode::Select,
             Opcode::Load,
@@ -219,8 +177,8 @@ mod tests {
             Opcode::Phi,
         ] {
             // Must not panic and must be bounded.
-            assert!(m.opcode_cycles(op) <= 1_000);
+            assert!(opcode_cycles(op) <= 1_000);
         }
-        assert_eq!(m.opcode_cycles(Opcode::Custom), 0);
+        assert_eq!(opcode_cycles(Opcode::Custom), 0);
     }
 }

@@ -17,7 +17,7 @@
 //!   1.0 when runtime information (value profiles, alias freedom) lets the
 //!   JIT produce better code than the static compiler.
 
-use crate::cost::CostModel;
+use crate::cost::cycles_to_time;
 use crate::profile::Profile;
 use jitise_base::SimTime;
 use jitise_ir::Module;
@@ -60,7 +60,7 @@ pub struct ExecTimes {
 
 impl ExecModel {
     /// Computes VM and native runtimes from a profile.
-    pub fn times(&self, module: &Module, profile: &Profile, cost: &CostModel) -> ExecTimes {
+    pub fn times(&self, module: &Module, profile: &Profile) -> ExecTimes {
         let native_cycles = profile.total_cycles();
 
         let mut interp_extra: u128 = 0; // dispatch overhead on cold executions
@@ -90,8 +90,8 @@ impl ExecModel {
             + interp_extra as f64
             + compile_extra as f64;
 
-        let native = cost.cycles_to_time(native_cycles);
-        let vm = cost.cycles_to_time(vm_cycles.round() as u64);
+        let native = cycles_to_time(native_cycles);
+        let vm = cycles_to_time(vm_cycles.round() as u64);
         ExecTimes {
             native,
             vm,
@@ -130,11 +130,10 @@ mod tests {
     #[test]
     fn hot_code_amortizes_overhead() {
         let model = ExecModel::default();
-        let cost = CostModel::ppc405();
         let (m, cold) = looped_module_and_profile(10);
         let (_, hot) = looped_module_and_profile(1_000_000);
-        let cold_times = model.times(&m, &cold, &cost);
-        let hot_times = model.times(&m, &hot, &cost);
+        let cold_times = model.times(&m, &cold);
+        let hot_times = model.times(&m, &hot);
         // Short runs are dominated by interpretation: large ratio.
         assert!(cold_times.ratio > 2.0, "cold ratio {}", cold_times.ratio);
         // Long runs amortize to near 1.0.
@@ -152,9 +151,8 @@ mod tests {
             jit_quality: 0.90,
             ..Default::default()
         };
-        let cost = CostModel::ppc405();
         let (m, hot) = looped_module_and_profile(1_000_000);
-        let t = model.times(&m, &hot, &cost);
+        let t = model.times(&m, &hot);
         assert!(
             t.ratio < 1.0,
             "VM should beat native with quality 0.9, got {}",
@@ -166,25 +164,24 @@ mod tests {
     #[test]
     fn empty_profile_is_neutral() {
         let (m, _) = looped_module_and_profile(1);
-        let t = ExecModel::default().times(&m, &Profile::new(), &CostModel::ppc405());
+        let t = ExecModel::default().times(&m, &Profile::new());
         assert_eq!(t.ratio, 1.0);
         assert_eq!(t.native, SimTime::ZERO);
     }
 
     #[test]
     fn dispatch_scales_cold_cost() {
-        let cost = CostModel::ppc405();
         let (m, cold) = looped_module_and_profile(10);
         let slow = ExecModel {
             dispatch_cycles: 40,
             ..Default::default()
         }
-        .times(&m, &cold, &cost);
+        .times(&m, &cold);
         let fast = ExecModel {
             dispatch_cycles: 4,
             ..Default::default()
         }
-        .times(&m, &cold, &cost);
+        .times(&m, &cold);
         assert!(slow.ratio > fast.ratio);
     }
 }

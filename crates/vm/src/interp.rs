@@ -2,7 +2,8 @@
 //!
 //! A straightforward block-at-a-time interpreter with exact phi (parallel
 //! copy) semantics, a bounds-checked linear memory, recursive calls, fuel
-//! limiting, and cycle accounting against a [`CostModel`]. Every block
+//! limiting, and cycle accounting against the PPC405 [`cost`](crate::cost)
+//! model. Every block
 //! execution is recorded into a [`Profile`], which is the raw material for
 //! the paper's coverage, kernel, and break-even analyses.
 //!
@@ -11,7 +12,7 @@
 //! code compute identical results — a property the proptest suite checks.
 
 use crate::ci::CiBinding;
-use crate::cost::CostModel;
+use crate::cost;
 use crate::mem::Memory;
 use crate::predecode::{PredecodedModule, VmTier};
 use crate::profile::{BlockKey, Profile};
@@ -59,27 +60,15 @@ pub trait CustomHandler {
     fn retire(&self, _binding: CiBinding) {}
 }
 
-/// Interpreter limits and sizing.
-#[derive(Debug, Clone)]
-pub struct RunConfig {
-    /// Alloca stack size in bytes.
-    pub stack_bytes: u32,
-    /// Dynamic-instruction budget; exceeded → error (guards against
-    /// runaway loops in generated workloads).
-    pub max_steps: u64,
-    /// Maximum call depth.
-    pub max_call_depth: u32,
-}
+/// Alloca stack size in bytes.
+pub const STACK_BYTES: u32 = 1 << 20;
 
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            stack_bytes: 1 << 20,
-            max_steps: 500_000_000,
-            max_call_depth: 256,
-        }
-    }
-}
+/// Maximum call depth.
+pub const MAX_CALL_DEPTH: u32 = 256;
+
+/// Dynamic-instruction budget of [`Interpreter::new`]; exceeding it is an
+/// error (guards against runaway loops in generated workloads).
+pub const DEFAULT_MAX_STEPS: u64 = 500_000_000;
 
 /// Result of one program execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,12 +84,12 @@ pub struct ExecOutcome {
 /// The virtual machine.
 pub struct Interpreter<'m> {
     pub(crate) module: &'m Module,
-    pub(crate) cost: CostModel,
     /// Linear memory (public for test setup and result inspection).
     pub mem: Memory,
     pub(crate) profile: Profile,
     pub(crate) custom: Option<&'m dyn CustomHandler>,
-    pub(crate) cfg: RunConfig,
+    /// Dynamic-instruction budget.
+    pub(crate) max_steps: u64,
     telemetry: Telemetry,
     pub(crate) steps: u64,
     pub(crate) cycles: u64,
@@ -122,21 +111,20 @@ pub struct Interpreter<'m> {
 }
 
 impl<'m> Interpreter<'m> {
-    /// Creates a VM for `module` with the default PPC405 cost model.
+    /// Creates a VM for `module` with the [`DEFAULT_MAX_STEPS`] budget.
     pub fn new(module: &'m Module) -> Self {
-        Self::with_config(module, CostModel::ppc405(), RunConfig::default())
+        Self::with_max_steps(module, DEFAULT_MAX_STEPS)
     }
 
-    /// Creates a VM with explicit cost model and limits.
-    pub fn with_config(module: &'m Module, cost: CostModel, cfg: RunConfig) -> Self {
-        let mem = Memory::for_module(module, cfg.stack_bytes);
+    /// Creates a VM that fails a run once it executes more than
+    /// `max_steps` dynamic instructions.
+    pub fn with_max_steps(module: &'m Module, max_steps: u64) -> Self {
         Interpreter {
             module,
-            cost,
-            mem,
+            mem: Memory::for_module(module, STACK_BYTES),
             profile: Profile::new(),
             custom: None,
-            cfg,
+            max_steps,
             telemetry: Telemetry::disabled(),
             steps: 0,
             cycles: 0,
@@ -165,13 +153,13 @@ impl<'m> Interpreter<'m> {
     }
 
     /// Installs a shared pre-decoded representation (built with
-    /// [`PredecodedModule::build`] from the *same* module and cost model)
+    /// [`PredecodedModule::build`] from the *same* module)
     /// and switches to the fast tier. Lets long-lived runtimes pay the
     /// decode cost once per module instead of once per VM instance.
     pub fn set_predecoded(&mut self, pd: Arc<PredecodedModule>) {
         assert!(
-            pd.matches(self.module, &self.cost),
-            "predecoded representation does not match this module/cost model"
+            pd.matches(self.module),
+            "predecoded representation does not match this module"
         );
         self.predecoded = Some(pd);
         self.tier = VmTier::Fast;
@@ -221,7 +209,7 @@ impl<'m> Interpreter<'m> {
                 let pd = match &self.predecoded {
                     Some(pd) => Arc::clone(pd),
                     None => {
-                        let pd = Arc::new(PredecodedModule::build(self.module, &self.cost));
+                        let pd = Arc::new(PredecodedModule::build(self.module));
                         self.predecoded = Some(Arc::clone(&pd));
                         pd
                     }
@@ -240,7 +228,7 @@ impl<'m> Interpreter<'m> {
             steps: self.steps - start_steps,
         };
         if self.telemetry.is_enabled() {
-            span.set_sim_time(self.cost.cycles_to_time(out.cycles));
+            span.set_sim_time(cost::cycles_to_time(out.cycles));
             span.field("func", TelValue::Str(self.module.func(fid).name.clone()));
             span.field("steps", TelValue::U64(out.steps));
             span.field("cycles", TelValue::U64(out.cycles));
@@ -255,10 +243,10 @@ impl<'m> Interpreter<'m> {
     }
 
     fn exec_func(&mut self, fid: FuncId, args: &[Value], depth: u32) -> Result<Option<Value>> {
-        if depth >= self.cfg.max_call_depth {
+        if depth >= MAX_CALL_DEPTH {
             return Err(Error::Vm(format!(
                 "call depth limit {} exceeded",
-                self.cfg.max_call_depth
+                MAX_CALL_DEPTH
             )));
         }
         let f = self.module.func(fid);
@@ -292,10 +280,10 @@ impl<'m> Interpreter<'m> {
                         // equals `Profile::total_insts`.
                         self.steps += 1;
                         block_insts += 1;
-                        if self.steps > self.cfg.max_steps {
+                        if self.steps > self.max_steps {
                             return Err(Error::Vm(format!(
                                 "step budget {} exhausted in {}",
-                                self.cfg.max_steps, f.name
+                                self.max_steps, f.name
                             )));
                         }
                         let op = incoming
@@ -313,7 +301,7 @@ impl<'m> Interpreter<'m> {
                         let v = self.eval_operand(f, &regs, args, op)?;
                         phi_writes.push((iid.idx(), v.normalize(f.inst(iid).ty)));
                         phi_end = i + 1;
-                        block_cycles += self.cost.inst_cycles(&f.inst(iid).kind);
+                        block_cycles += cost::inst_cycles(&f.inst(iid).kind);
                     } else {
                         break;
                     }
@@ -339,10 +327,10 @@ impl<'m> Interpreter<'m> {
                 let inst = f.inst(iid);
                 self.steps += 1;
                 block_insts += 1;
-                if self.steps > self.cfg.max_steps {
+                if self.steps > self.max_steps {
                     return Err(Error::Vm(format!(
                         "step budget {} exhausted in {}",
-                        self.cfg.max_steps, f.name
+                        self.max_steps, f.name
                     )));
                 }
                 let mut extra_cycles = 0u64;
@@ -447,23 +435,23 @@ impl<'m> Interpreter<'m> {
                 if let Some(v) = result {
                     regs[iid.idx()] = Some(v);
                 }
-                block_cycles += self.cost.inst_cycles(&inst.kind) + extra_cycles;
+                block_cycles += cost::inst_cycles(&inst.kind) + extra_cycles;
             }
 
             // ---- terminator ----
             let term = block.terminator();
             let next = match term {
                 Terminator::Br(t) => {
-                    block_cycles += self.cost.branch_cycles();
+                    block_cycles += cost::branch_cycles();
                     Some(*t)
                 }
                 Terminator::CondBr(c, a, b) => {
-                    block_cycles += self.cost.branch_cycles();
+                    block_cycles += cost::branch_cycles();
                     let vc = self.eval_operand(f, &regs, args, *c)?;
                     Some(if vc.as_bool() { *a } else { *b })
                 }
                 Terminator::Switch(v, cases, default) => {
-                    block_cycles += self.cost.branch_cycles() + cases.len() as u64 / 2;
+                    block_cycles += cost::branch_cycles() + cases.len() as u64 / 2;
                     let val = self.eval_operand(f, &regs, args, *v)?.as_i();
                     Some(
                         cases
@@ -706,14 +694,7 @@ mod tests {
         let _ = b.add(Op::ci32(1), Op::ci32(1));
         b.br(spin);
         let m = module_of(b.finish());
-        let mut vm = Interpreter::with_config(
-            &m,
-            CostModel::ppc405(),
-            RunConfig {
-                max_steps: 10_000,
-                ..Default::default()
-            },
-        );
+        let mut vm = Interpreter::with_max_steps(&m, 10_000);
         let err = vm.run("main", &[]).unwrap_err();
         assert!(err.to_string().contains("step budget"));
     }
@@ -775,14 +756,7 @@ mod tests {
         b.add_incoming(x, spin, x);
         b.br(spin);
         let m = module_of(b.finish());
-        let mut vm = Interpreter::with_config(
-            &m,
-            CostModel::ppc405(),
-            RunConfig {
-                max_steps: 1_000,
-                ..Default::default()
-            },
-        );
+        let mut vm = Interpreter::with_max_steps(&m, 1_000);
         let err = vm.run("main", &[]).unwrap_err();
         assert!(
             err.to_string().contains("step budget"),
@@ -831,7 +805,7 @@ mod tests {
         let out = vm.run("main", &[]).unwrap();
         assert_eq!(out.steps, 0);
         assert_eq!(vm.profile().total_insts(), 0);
-        assert_eq!(out.cycles, 2 * CostModel::ppc405().branch_cycles());
+        assert_eq!(out.cycles, 2 * cost::branch_cycles());
         assert_eq!(out.cycles, vm.profile().total_cycles());
     }
 

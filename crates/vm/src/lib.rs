@@ -7,9 +7,10 @@
 //!
 //! * [`interp::Interpreter`] — a direct interpreter for `jitise-ir` modules
 //!   with a linear memory, call stack, and external math functions;
-//! * [`cost::CostModel`] — a PowerPC-405 cycle-cost model (the Woolcano
-//!   base CPU); every executed instruction is charged cycles, and reported
-//!   runtimes are *simulated seconds* at the core clock;
+//! * [`cost`] — the PowerPC-405 cycle-cost model (the Woolcano base CPU)
+//!   and its FCB custom-instruction interface; every executed instruction
+//!   is charged cycles, and reported runtimes are *simulated seconds* at
+//!   the core clock;
 //! * [`profile::Profile`] — per-block execution counts and cycle totals
 //!   (the data behind Tables I and II);
 //! * [`coverage`] — the live/dead/const classification of §IV-C, computed
@@ -37,8 +38,7 @@ pub mod profile;
 pub mod value;
 
 pub use ci::{CiBinding, CiProgram, CiProgramBuilder, CiRef};
-pub use cost::CostModel;
-pub use interp::{CustomHandler, ExecOutcome, Interpreter, RunConfig};
+pub use interp::{CustomHandler, ExecOutcome, Interpreter, DEFAULT_MAX_STEPS};
 pub use predecode::{PredecodedModule, VmTier};
 pub use profile::{BlockKey, HotnessWindow, Profile};
 pub use value::Value;

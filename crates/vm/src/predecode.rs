@@ -22,11 +22,12 @@
 //! 14-app identity test enforce this; DESIGN.md §15 documents why the
 //! accounting is tier-invariant.
 
-use crate::cost::CostModel;
-use crate::interp::{eval_ext, value_to_imm, Interpreter};
+use crate::cost;
+use crate::interp::{eval_ext, value_to_imm, Interpreter, MAX_CALL_DEPTH};
 use crate::profile::BlockKey;
 use crate::value::Value;
 use jitise_base::{Error, Result};
+use jitise_ir::dom::DomTree;
 use jitise_ir::passes::constfold::{fold_cmp, fold_float_bin, fold_int_bin, fold_un};
 use jitise_ir::{
     BinOp, BlockId, CmpOp, ExtFunc, FuncId, Function, InstId, InstKind, Module, Operand,
@@ -820,36 +821,30 @@ struct FastFunc {
     blocks: Vec<FastBlock>,
 }
 
-/// A module compiled for the fast tier. Build once per module (and cost
-/// model) with [`PredecodedModule::build`], share across VM instances via
+/// A module compiled for the fast tier. Build once per module with
+/// [`PredecodedModule::build`], share across VM instances via
 /// [`Interpreter::set_predecoded`].
 #[derive(Debug, Clone)]
 pub struct PredecodedModule {
     funcs: Vec<FastFunc>,
-    clock_hz: u64,
-    dispatch_overhead: u64,
 }
 
 impl PredecodedModule {
-    /// Decodes every function of `m` under `cost`.
-    pub fn build(m: &Module, cost: &CostModel) -> PredecodedModule {
+    /// Decodes every function of `m`.
+    pub fn build(m: &Module) -> PredecodedModule {
         PredecodedModule {
             funcs: m
                 .func_ids()
-                .map(|fid| decode_func(m.func(fid), fid, cost))
+                .map(|fid| decode_func(m.func(fid), fid))
                 .collect(),
-            clock_hz: cost.clock_hz,
-            dispatch_overhead: cost.dispatch_overhead,
         }
     }
 
     /// Cheap sanity check that this representation was built from a module
-    /// with the same shape and the same cost model. Not a full structural
-    /// comparison — callers must pass the module it was built from.
-    pub(crate) fn matches(&self, m: &Module, cost: &CostModel) -> bool {
-        self.clock_hz == cost.clock_hz
-            && self.dispatch_overhead == cost.dispatch_overhead
-            && self.funcs.len() == m.func_ids().count()
+    /// with the same shape. Not a full structural comparison — callers
+    /// must pass the module it was built from.
+    pub(crate) fn matches(&self, m: &Module) -> bool {
+        self.funcs.len() == m.func_ids().count()
             && m.func_ids().zip(&self.funcs).all(|(fid, pf)| {
                 let f = m.func(fid);
                 pf.name == f.name
@@ -859,88 +854,20 @@ impl PredecodedModule {
     }
 }
 
-/// Immediate dominators of the reachable CFG (Cooper–Harvey–Kennedy),
-/// indexed by block; `u32::MAX` marks unreachable blocks, the entry is its
-/// own idom. Used only at decode time to discharge definedness checks.
-fn compute_idom(f: &Function) -> Vec<u32> {
-    const UNDEF: u32 = u32::MAX;
-    let n = f.blocks.len();
-    let mut idom = vec![UNDEF; n];
-    if n == 0 {
-        return idom;
-    }
-    let succs: Vec<Vec<u32>> = f
-        .blocks
-        .iter()
-        .map(|b| match &b.term {
-            Some(Terminator::Br(t)) => vec![t.0],
-            Some(Terminator::CondBr(_, t, e)) => vec![t.0, e.0],
-            Some(Terminator::Switch(_, cases, d)) => {
-                cases.iter().map(|(_, t)| t.0).chain([d.0]).collect()
-            }
-            Some(Terminator::Ret(_)) | None => vec![],
-        })
-        .collect();
-    // Reverse postorder over blocks reachable from the entry.
-    let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
-    let mut post: Vec<u32> = Vec::with_capacity(n);
-    let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
-    state[0] = 1;
-    while let Some(top) = stack.last_mut() {
-        let b = top.0 as usize;
-        if top.1 < succs[b].len() {
-            let s = succs[b][top.1];
-            top.1 += 1;
-            if state[s as usize] == 0 {
-                state[s as usize] = 1;
-                stack.push((s, 0));
-            }
-        } else {
-            post.push(top.0);
-            state[b] = 2;
-            stack.pop();
+/// Non-strict dominance over reachable blocks: `a == b`, or `a` is on
+/// `b`'s immediate-dominator chain. The entry and unreachable blocks end
+/// the chain, so an unreachable block dominates only itself.
+fn dominates(dom: &DomTree, a: u32, b: u32) -> bool {
+    let (a, mut b) = (BlockId(a), BlockId(b));
+    loop {
+        if a == b {
+            return true;
+        }
+        match dom.idom(b) {
+            Some(up) => b = up,
+            None => return false,
         }
     }
-    let rpo: Vec<u32> = post.iter().rev().copied().collect();
-    let mut rpo_idx = vec![UNDEF; n];
-    for (i, &b) in rpo.iter().enumerate() {
-        rpo_idx[b as usize] = i as u32;
-    }
-    fn intersect(idom: &[u32], rpo_idx: &[u32], mut a: u32, mut b: u32) -> u32 {
-        while a != b {
-            while rpo_idx[a as usize] > rpo_idx[b as usize] {
-                a = idom[a as usize];
-            }
-            while rpo_idx[b as usize] > rpo_idx[a as usize] {
-                b = idom[b as usize];
-            }
-        }
-        a
-    }
-    let preds = f.predecessors();
-    idom[0] = 0;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in rpo.iter().skip(1) {
-            let mut new_idom = UNDEF;
-            for &p in &preds[b as usize] {
-                if idom[p.idx()] == UNDEF {
-                    continue;
-                }
-                new_idom = if new_idom == UNDEF {
-                    p.0
-                } else {
-                    intersect(&idom, &rpo_idx, new_idom, p.0)
-                };
-            }
-            if new_idom != UNDEF && idom[b as usize] != new_idom {
-                idom[b as usize] = new_idom;
-                changed = true;
-            }
-        }
-    }
-    idom
 }
 
 /// Decode-time operand resolver. Maps every operand to a flat slot index:
@@ -965,7 +892,7 @@ fn compute_idom(f: &Function) -> Vec<u32> {
 /// function would otherwise drag a >150 KiB register file through the
 /// cache on every call.
 struct Resolver {
-    idom: Vec<u32>,
+    dom: DomTree,
     /// Block index holding each instruction (`u32::MAX` for dead arena
     /// slots never attached to a block).
     def_block: Vec<u32>,
@@ -1015,17 +942,8 @@ impl Resolver {
                 };
             }
         }
-        let idom = compute_idom(f);
-        let dominates = |a: u32, mut b: u32| loop {
-            if a == b {
-                return true;
-            }
-            let up = idom[b as usize];
-            if up == b || up == u32::MAX {
-                return false;
-            }
-            b = up;
-        };
+        let dom = DomTree::compute(f);
+        let dominates = |a: u32, b: u32| dominates(&dom, a, b);
 
         // ---- use analysis (mirrors the decode walk exactly) ----
         // A value is block-local when every read is in its def block at a
@@ -1185,7 +1103,7 @@ impl Resolver {
         let num_slots = (d + max_local) as usize;
 
         Resolver {
-            idom,
+            dom,
             def_block,
             surely,
             slot_of,
@@ -1202,17 +1120,8 @@ impl Resolver {
     }
 
     /// Non-strict dominance over reachable blocks.
-    fn dominates(&self, a: u32, mut b: u32) -> bool {
-        loop {
-            if a == b {
-                return true;
-            }
-            let up = self.idom[b as usize];
-            if up == b || up == u32::MAX {
-                return false;
-            }
-            b = up;
-        }
+    fn dominates(&self, a: u32, b: u32) -> bool {
+        dominates(&self.dom, a, b)
     }
 
     /// Interns a constant and returns its slot.
@@ -1765,8 +1674,8 @@ fn decode_inst(f: &Function, iid: InstId, res: &mut Resolver, at: u32, local: &[
     FastInst { dst, op }
 }
 
-fn decode_func(f: &Function, fid: FuncId, cost: &CostModel) -> FastFunc {
-    let phi_cost = cost.inst_cycles(&InstKind::Phi(vec![]));
+fn decode_func(f: &Function, fid: FuncId) -> FastFunc {
+    let phi_cost = cost::inst_cycles(&InstKind::Phi(vec![]));
     // Leading-phi span of every block (phis below the span trap at run
     // time, exactly like the interpreter).
     let leads: Vec<usize> = f
@@ -1825,7 +1734,7 @@ fn decode_func(f: &Function, fid: FuncId, cost: &CostModel) -> FastFunc {
         // candidate (fused results do not chain into further fusions).
         let mut prev_arena: Option<InstId> = None;
         for &iid in &b.insts[leads[bi]..] {
-            static_cycles += cost.inst_cycles(&f.inst(iid).kind);
+            static_cycles += cost::inst_cycles(&f.inst(iid).kind);
             let fi = decode_inst(f, iid, &mut res, bi as u32, &local);
             let mut fused = false;
             if let Some(pid) = prev_arena {
@@ -1848,11 +1757,11 @@ fn decode_func(f: &Function, fid: FuncId, cost: &CostModel) -> FastFunc {
         }
         let term = match &b.term {
             Some(Terminator::Br(t)) => {
-                static_cycles += cost.branch_cycles();
+                static_cycles += cost::branch_cycles();
                 FastTerm::Br(target(bid, *t))
             }
             Some(Terminator::CondBr(c, t, e)) => {
-                static_cycles += cost.branch_cycles();
+                static_cycles += cost::branch_cycles();
                 FastTerm::CondBr {
                     c: res.src(*c, bi as u32, &local),
                     t: target(bid, *t),
@@ -1860,7 +1769,7 @@ fn decode_func(f: &Function, fid: FuncId, cost: &CostModel) -> FastFunc {
                 }
             }
             Some(Terminator::Switch(v, cases, default)) => {
-                static_cycles += cost.branch_cycles() + cases.len() as u64 / 2;
+                static_cycles += cost::branch_cycles() + cases.len() as u64 / 2;
                 let mut sorted: Vec<(i64, Target)> = Vec::with_capacity(cases.len());
                 for (k, t) in cases {
                     // First occurrence of a key wins, like the linear scan.
@@ -2021,10 +1930,9 @@ pub(crate) fn exec_fast(
     args: &[Value],
     depth: u32,
 ) -> Result<Option<Value>> {
-    if depth >= vm.cfg.max_call_depth {
+    if depth >= MAX_CALL_DEPTH {
         return Err(Error::Vm(format!(
-            "call depth limit {} exceeded",
-            vm.cfg.max_call_depth
+            "call depth limit {MAX_CALL_DEPTH} exceeded"
         )));
     }
     let f = &pd.funcs[fid.idx()];
@@ -2116,7 +2024,7 @@ fn run_blocks(
     fr: &mut Frame,
     steps: &mut u64,
 ) -> Result<Option<Value>> {
-    let max_steps = vm.cfg.max_steps;
+    let max_steps = vm.max_steps;
     let Frame {
         regs,
         defined,
@@ -3113,7 +3021,7 @@ fn run_blocks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::RunConfig;
+    use crate::interp::DEFAULT_MAX_STEPS;
     use jitise_ir::{FunctionBuilder, Imm, Operand as Op};
 
     fn module_of(f: Function) -> Module {
@@ -3128,11 +3036,11 @@ mod tests {
     fn assert_tiers_identical(
         m: &Module,
         args: &[Value],
-        cfg: RunConfig,
+        max_steps: u64,
     ) -> std::result::Result<crate::interp::ExecOutcome, String> {
-        let mut slow = Interpreter::with_config(m, CostModel::ppc405(), cfg.clone());
+        let mut slow = Interpreter::with_max_steps(m, max_steps);
         let slow_out = slow.run("main", args);
-        let mut fast = Interpreter::with_config(m, CostModel::ppc405(), cfg);
+        let mut fast = Interpreter::with_max_steps(m, max_steps);
         fast.set_tier(VmTier::Fast);
         let fast_out = fast.run("main", args);
         match (&slow_out, &fast_out) {
@@ -3177,7 +3085,7 @@ mod tests {
     fn fast_tier_identical_on_phi_loop() {
         let m = swap_loop();
         for n in [0, 1, 2, 7, 100] {
-            let out = assert_tiers_identical(&m, &[Value::I(n)], RunConfig::default()).unwrap();
+            let out = assert_tiers_identical(&m, &[Value::I(n)], DEFAULT_MAX_STEPS).unwrap();
             assert!(out.steps > 0);
         }
     }
@@ -3185,11 +3093,7 @@ mod tests {
     #[test]
     fn fast_tier_identical_on_fuel_trap() {
         let m = swap_loop();
-        let cfg = RunConfig {
-            max_steps: 37,
-            ..Default::default()
-        };
-        let err = assert_tiers_identical(&m, &[Value::I(1_000_000)], cfg).unwrap_err();
+        let err = assert_tiers_identical(&m, &[Value::I(1_000_000)], 37).unwrap_err();
         assert!(err.contains("step budget 37 exhausted in main"));
     }
 
@@ -3199,8 +3103,8 @@ mod tests {
         let d = b.sdiv(Op::ci32(7), Op::Arg(0));
         b.ret(d);
         let m = module_of(b.finish());
-        assert_tiers_identical(&m, &[Value::I(3)], RunConfig::default()).unwrap();
-        let err = assert_tiers_identical(&m, &[Value::I(0)], RunConfig::default()).unwrap_err();
+        assert_tiers_identical(&m, &[Value::I(3)], DEFAULT_MAX_STEPS).unwrap();
+        let err = assert_tiers_identical(&m, &[Value::I(0)], DEFAULT_MAX_STEPS).unwrap_err();
         assert!(err.contains("division by zero"));
     }
 
@@ -3213,10 +3117,9 @@ mod tests {
         let v = b.load(Type::I32, p);
         b.ret(v);
         let m = module_of(b.finish());
-        assert_tiers_identical(&m, &[Value::I(0)], RunConfig::default()).unwrap();
+        assert_tiers_identical(&m, &[Value::I(0)], DEFAULT_MAX_STEPS).unwrap();
         // A wild index must produce the same out-of-bounds error string.
-        let err =
-            assert_tiers_identical(&m, &[Value::I(1 << 20)], RunConfig::default()).unwrap_err();
+        let err = assert_tiers_identical(&m, &[Value::I(1 << 20)], DEFAULT_MAX_STEPS).unwrap_err();
         assert!(err.contains("access"), "unexpected error: {err}");
     }
 
@@ -3253,7 +3156,7 @@ mod tests {
         b.ret(out);
         m.add_func(b.finish());
         for n in [0, 1, 2, 3] {
-            assert_tiers_identical(&m, &[Value::I(n)], RunConfig::default()).unwrap();
+            assert_tiers_identical(&m, &[Value::I(n)], DEFAULT_MAX_STEPS).unwrap();
         }
     }
 
@@ -3337,7 +3240,7 @@ mod tests {
     /// fuel budget from 1 up to the whole run, so the fuel trap lands
     /// before, between and after the fused halves.
     fn assert_fuses_identically(variant: &str, m: &Module, arg_sets: &[Vec<Value>]) {
-        let pd = PredecodedModule::build(m, &CostModel::ppc405());
+        let pd = PredecodedModule::build(m);
         let entry = &pd.funcs[0].blocks[0];
         let names: Vec<String> = entry.body.iter().map(|fi| op_name(&fi.op)).collect();
         assert_eq!(
@@ -3352,15 +3255,11 @@ mod tests {
         // Straight-line code executes each instruction at most once.
         let insts = m.funcs[0].insts.len() as u64;
         for args in arg_sets {
-            if let Ok(out) = assert_tiers_identical(m, args, RunConfig::default()) {
+            if let Ok(out) = assert_tiers_identical(m, args, DEFAULT_MAX_STEPS) {
                 assert!(out.steps <= insts, "{variant}: {} steps", out.steps);
             }
             for max_steps in 1..=insts {
-                let cfg = RunConfig {
-                    max_steps,
-                    ..Default::default()
-                };
-                assert_tiers_identical(m, args, cfg).ok();
+                assert_tiers_identical(m, args, max_steps).ok();
             }
         }
     }
@@ -3437,7 +3336,7 @@ mod tests {
     #[test]
     fn predecoded_module_is_shareable() {
         let m = swap_loop();
-        let pd = std::sync::Arc::new(PredecodedModule::build(&m, &CostModel::ppc405()));
+        let pd = std::sync::Arc::new(PredecodedModule::build(&m));
         let mut a = Interpreter::new(&m);
         a.set_predecoded(std::sync::Arc::clone(&pd));
         let mut b = Interpreter::new(&m);

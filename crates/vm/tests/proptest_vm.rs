@@ -3,9 +3,10 @@
 //! classifier's algebraic properties.
 
 use jitise_ir::{CmpOp, FunctionBuilder, Module, Operand as Op, Type};
+use jitise_vm::cost::cycles_to_time;
 use jitise_vm::coverage::{classify, CoverageClass};
 use jitise_vm::kernel::kernel;
-use jitise_vm::{BlockKey, CostModel, Interpreter, Profile, Value};
+use jitise_vm::{BlockKey, Interpreter, Profile, Value};
 use proptest::prelude::*;
 
 fn looped_module(ops: &[(u8, i32)]) -> Module {
@@ -131,9 +132,8 @@ proptest! {
         prop_assert_eq!(s.total_insts(), p.total_insts() * factor);
         // Time conversion truncates to whole nanoseconds, so the scaled
         // time may differ from the naive product by up to `factor` ns.
-        let cost = CostModel::ppc405();
-        let scaled_ns = cost.cycles_to_time(s.total_cycles()).as_nanos();
-        let naive_ns = cost.cycles_to_time(p.total_cycles()).as_nanos() * factor;
+        let scaled_ns = cycles_to_time(s.total_cycles()).as_nanos();
+        let naive_ns = cycles_to_time(p.total_cycles()).as_nanos() * factor;
         prop_assert!(scaled_ns.abs_diff(naive_ns) <= factor);
     }
 }

@@ -14,7 +14,8 @@ use jitise_cad::{Bitstream, InstallTier, TimingReport};
 use jitise_ir::{Dfg, Function};
 use jitise_ise::Candidate;
 use jitise_telemetry::{names, Telemetry, Value as TelValue};
-use jitise_vm::{CiBinding, CostModel, CustomHandler, Value};
+use jitise_vm::cost::{CI_PERIOD_NS, FCB_OVERHEAD_CYCLES};
+use jitise_vm::{CiBinding, CustomHandler, Value};
 use std::sync::Mutex;
 
 /// The Woolcano machine.
@@ -32,16 +33,12 @@ pub struct Woolcano {
     /// Reconfiguration controller (interior mutability: the interpreter
     /// holds a shared handler reference).
     controller: Mutex<ReconfigController>,
-    /// Base CPU model.
-    pub cost: CostModel,
-    /// FCB/APU interface overhead per CI invocation (cycles).
-    pub fcb_overhead: u64,
     /// Observability handle (disabled by default).
     telemetry: Telemetry,
 }
 
 impl Woolcano {
-    /// A machine with `slots` CI sites and default interface costs.
+    /// A machine with `slots` CI sites.
     pub fn new(slots: usize) -> Woolcano {
         Woolcano::with_telemetry(slots, Telemetry::disabled())
     }
@@ -51,21 +48,18 @@ impl Woolcano {
     pub fn with_telemetry(slots: usize, telemetry: Telemetry) -> Woolcano {
         Woolcano {
             controller: Mutex::new(ReconfigController::new(slots)),
-            cost: CostModel::ppc405(),
-            fcb_overhead: 3,
             telemetry,
         }
     }
 
     /// Hardware cycles a timing report implies at the base-core clock:
-    /// critical path clocked at the CPU frequency plus the interface
-    /// overhead. A diagnostic view — the pipeline installs CIs with the
-    /// PivPav estimator's latency, which is calibrated to the real cores,
-    /// whereas the scaled-down stand-in netlists' STA is only
-    /// shape-accurate (see DESIGN.md §1).
+    /// critical path clocked at [`CI_PERIOD_NS`] plus the
+    /// [`FCB_OVERHEAD_CYCLES`] interface overhead. A diagnostic view — the
+    /// pipeline installs CIs with the PivPav estimator's latency, which is
+    /// calibrated to the real cores, whereas the scaled-down stand-in
+    /// netlists' STA is only shape-accurate (see DESIGN.md §1).
     pub fn ci_cycles(&self, timing: &TimingReport) -> u64 {
-        let period_ns = 1e9 / self.cost.clock_hz as f64;
-        (timing.critical_path_ns / period_ns).ceil().max(1.0) as u64 + self.fcb_overhead
+        (timing.critical_path_ns / CI_PERIOD_NS).ceil().max(1.0) as u64 + FCB_OVERHEAD_CYCLES
     }
 
     /// Loads an implemented candidate into a slot: freezes semantics,
@@ -142,13 +136,6 @@ impl Woolcano {
             span.field("signature", TelValue::U64(signature));
         }
         Ok(slot)
-    }
-
-    /// The tier currently installed for a signature, if loaded.
-    pub fn tier_of(&self, signature: u64) -> Option<InstallTier> {
-        let ctl = self.controller.lock().expect("lock");
-        let slot = ctl.slot_of(signature)?;
-        ctl.get(slot).map(|ci| ci.tier)
     }
 
     /// Slot of an already-loaded CI, by signature.
@@ -242,7 +229,6 @@ mod tests {
     use super::*;
     use crate::patch::freeze_and_patch;
     use jitise_ir::{BlockId, FuncId, FunctionBuilder, Module, Operand as Op, Type};
-    use jitise_ise::ForbiddenPolicy;
     use jitise_vm::BlockKey;
 
     /// Build a hot-loop module; return (module, candidate context).
@@ -271,15 +257,7 @@ mod tests {
         let mut best: Option<(BlockId, Candidate)> = None;
         for bid in f.block_ids() {
             let dfg = Dfg::build(&f, bid);
-            for c in jitise_ise::maxmiso(
-                &f,
-                &dfg,
-                BlockKey::new(FuncId(0), bid),
-                &ForbiddenPolicy::default(),
-                3,
-            )
-            .candidates
-            {
+            for c in jitise_ise::maxmiso(&f, &dfg, BlockKey::new(FuncId(0), bid), 3).candidates {
                 if best
                     .as_ref()
                     .map(|(_, b)| c.len() > b.len())
@@ -350,9 +328,7 @@ mod tests {
         let f = b.finish();
         let dfg = Dfg::build(&f, BlockId(0));
         let key = BlockKey::new(FuncId(0), BlockId(0));
-        let cand = jitise_ise::maxmiso(&f, &dfg, key, &ForbiddenPolicy::default(), 2)
-            .candidates
-            .remove(0);
+        let cand = jitise_ise::maxmiso(&f, &dfg, key, 2).candidates.remove(0);
         let fabric = jitise_cad::Fabric::tiny();
         let nl = jitise_pivpav::netlist::synthesize_core("c", 4, 8, 0, 0, tag as u64);
         let p = jitise_cad::place(&fabric, &nl, jitise_cad::PlaceEffort::fast(), 1).unwrap();

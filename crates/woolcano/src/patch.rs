@@ -127,7 +127,6 @@ mod tests {
     use super::*;
     use jitise_ir::verify::verify_function;
     use jitise_ir::{BlockId, FuncId, FunctionBuilder, Operand as Op, Type};
-    use jitise_ise::ForbiddenPolicy;
     use jitise_vm::BlockKey;
 
     fn build_and_patch() -> (Function, CiSemantics, PatchReport) {
@@ -141,15 +140,9 @@ mod tests {
         b.ret(back);
         let mut f = b.finish();
         let dfg = Dfg::build(&f, BlockId(0));
-        let cand = jitise_ise::maxmiso(
-            &f,
-            &dfg,
-            BlockKey::new(FuncId(0), BlockId(0)),
-            &ForbiddenPolicy::default(),
-            2,
-        )
-        .candidates
-        .remove(0);
+        let cand = jitise_ise::maxmiso(&f, &dfg, BlockKey::new(FuncId(0), BlockId(0)), 2)
+            .candidates
+            .remove(0);
         let (sem, rep) = freeze_and_patch(&mut f, &dfg, &cand, 2).unwrap();
         (f, sem, rep)
     }
@@ -197,15 +190,9 @@ mod tests {
         b.ret(y);
         let mut f = b.finish();
         let dfg = Dfg::build(&f, BlockId(0));
-        let cand = jitise_ise::maxmiso(
-            &f,
-            &dfg,
-            BlockKey::new(FuncId(0), BlockId(0)),
-            &ForbiddenPolicy::default(),
-            2,
-        )
-        .candidates
-        .remove(0);
+        let cand = jitise_ise::maxmiso(&f, &dfg, BlockKey::new(FuncId(0), BlockId(0)), 2)
+            .candidates
+            .remove(0);
         patch_candidate(&mut f, &cand, 0).unwrap();
         let err = patch_candidate(&mut f, &cand, 0).unwrap_err();
         assert!(err.to_string().contains("already patched"));
@@ -231,15 +218,9 @@ mod tests {
         // Patched.
         let mut f = build();
         let dfg = Dfg::build(&f, BlockId(0));
-        let cand = jitise_ise::maxmiso(
-            &f,
-            &dfg,
-            BlockKey::new(FuncId(0), BlockId(0)),
-            &ForbiddenPolicy::default(),
-            2,
-        )
-        .candidates
-        .remove(0);
+        let cand = jitise_ise::maxmiso(&f, &dfg, BlockKey::new(FuncId(0), BlockId(0)), 2)
+            .candidates
+            .remove(0);
         let (sem, rep) = freeze_and_patch(&mut f, &dfg, &cand, 0).unwrap();
         let mut m_patched = jitise_ir::Module::new("t");
         m_patched.add_func(f);

@@ -271,7 +271,6 @@ impl ReconfigController {
 mod tests {
     use super::*;
     use jitise_ir::{BlockId, Dfg, FuncId, FunctionBuilder, Operand as Op, Type};
-    use jitise_ise::ForbiddenPolicy;
     use jitise_vm::BlockKey;
 
     fn dummy_ci(tag: i32) -> (u64, CiSemantics, Bitstream) {
@@ -281,15 +280,9 @@ mod tests {
         b.ret(y);
         let f = b.finish();
         let dfg = Dfg::build(&f, BlockId(0));
-        let cand = jitise_ise::maxmiso(
-            &f,
-            &dfg,
-            BlockKey::new(FuncId(0), BlockId(0)),
-            &ForbiddenPolicy::default(),
-            2,
-        )
-        .candidates
-        .remove(0);
+        let cand = jitise_ise::maxmiso(&f, &dfg, BlockKey::new(FuncId(0), BlockId(0)), 2)
+            .candidates
+            .remove(0);
         let sig = cand.signature(&f, &dfg);
         let sem = CiSemantics::freeze(&f, &dfg, &cand).unwrap();
         // A tiny real bitstream via the CAD flow's pieces.

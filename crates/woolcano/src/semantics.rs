@@ -278,7 +278,6 @@ impl CiSemantics {
 mod tests {
     use super::*;
     use jitise_ir::{BlockId, FuncId, FunctionBuilder, Operand as Op};
-    use jitise_ise::ForbiddenPolicy;
     use jitise_vm::BlockKey;
 
     fn freeze_first(build: impl FnOnce(&mut FunctionBuilder)) -> (Function, CiSemantics) {
@@ -286,15 +285,9 @@ mod tests {
         build(&mut b);
         let f = b.finish();
         let dfg = Dfg::build(&f, BlockId(0));
-        let cand = jitise_ise::maxmiso(
-            &f,
-            &dfg,
-            BlockKey::new(FuncId(0), BlockId(0)),
-            &ForbiddenPolicy::default(),
-            2,
-        )
-        .candidates
-        .remove(0);
+        let cand = jitise_ise::maxmiso(&f, &dfg, BlockKey::new(FuncId(0), BlockId(0)), 2)
+            .candidates
+            .remove(0);
         let sem = CiSemantics::freeze(&f, &dfg, &cand).unwrap();
         (f, sem)
     }
@@ -378,15 +371,9 @@ mod tests {
         b.ret(y);
         let f = b.finish();
         let dfg = Dfg::build(&f, BlockId(0));
-        let cand = jitise_ise::maxmiso(
-            &f,
-            &dfg,
-            BlockKey::new(FuncId(0), BlockId(0)),
-            &ForbiddenPolicy::default(),
-            2,
-        )
-        .candidates
-        .remove(0);
+        let cand = jitise_ise::maxmiso(&f, &dfg, BlockKey::new(FuncId(0), BlockId(0)), 2)
+            .candidates
+            .remove(0);
         let sem = CiSemantics::freeze(&f, &dfg, &cand).unwrap();
         let inputs = CiSemantics::input_operands(&f, &cand);
         assert_eq!(inputs, vec![Op::Arg(1), Op::Arg(0)]);

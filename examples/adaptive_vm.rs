@@ -49,11 +49,7 @@ fn main() {
         out2.report.as_ref().map_or(0, |r| r.cache_hits),
         out2.report.as_ref().map_or(0, |r| r.candidates.len())
     );
-    let (hits, misses) = cache.stats();
-    println!(
-        "bitstream cache: {hits} hits, {misses} misses, {} entries",
-        cache.len()
-    );
+    println!("bitstream cache: {} entries", cache.len());
 
     println!(
         "\nbreak-even intuition: session 1 paid {} of tool flow; session 2 paid {}.",

@@ -82,7 +82,6 @@ fn main() {
     for overhead in [0u64, 1, 3, 6, 12, 24] {
         let est = DepthEstimator {
             invoke_overhead: overhead,
-            ..DepthEstimator::default()
         };
         let out = candidate_search(&app.module, &profile, &est, &SearchConfig::default());
         t.row(vec![

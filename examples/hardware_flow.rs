@@ -7,7 +7,7 @@
 
 use jitise::cad::{run_flow, Fabric, FlowOptions};
 use jitise::ir::{BlockId, Dfg, FuncId, FunctionBuilder, Operand as Op, Type};
-use jitise::ise::{maxmiso, ForbiddenPolicy};
+use jitise::ise::maxmiso;
 use jitise::pivpav::{create_project, CircuitDb, NetlistCache};
 use jitise::vm::BlockKey;
 
@@ -27,15 +27,9 @@ fn main() {
     );
 
     let dfg = Dfg::build(&f, BlockId(0));
-    let cand = maxmiso(
-        &f,
-        &dfg,
-        BlockKey::new(FuncId(0), BlockId(0)),
-        &ForbiddenPolicy::default(),
-        2,
-    )
-    .candidates
-    .remove(0);
+    let cand = maxmiso(&f, &dfg, BlockKey::new(FuncId(0), BlockId(0)), 2)
+        .candidates
+        .remove(0);
     println!(
         "MAXMISO candidate: {} ops, {} inputs, {} output(s), signature {:016x}",
         cand.len(),

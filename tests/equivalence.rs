@@ -12,9 +12,10 @@ use jitise::ir::passes::{optimize_function, OptLevel};
 use jitise::ir::{
     BinOp, BlockId, CmpOp, Dfg, FuncId, FunctionBuilder, Module, Operand as Op, Type,
 };
-use jitise::ise::{maxmiso, ForbiddenPolicy};
+use jitise::ise::forbidden::mask;
+use jitise::ise::maxmiso;
 use jitise::vm::{
-    BlockKey, CostModel, CustomHandler, ExecOutcome, Interpreter, RunConfig, Value, VmTier,
+    BlockKey, CustomHandler, ExecOutcome, Interpreter, Value, VmTier, DEFAULT_MAX_STEPS,
 };
 use jitise::woolcano::{freeze_and_patch, Woolcano};
 use jitise_store::testfix::tiny_bitstream;
@@ -132,15 +133,7 @@ fn largest_candidate(m: &Module) -> Option<(BlockId, jitise::ise::Candidate)> {
     let mut best: Option<(BlockId, jitise::ise::Candidate)> = None;
     for bid in f.block_ids() {
         let dfg = Dfg::build(f, bid);
-        for c in maxmiso(
-            f,
-            &dfg,
-            BlockKey::new(FuncId(0), bid),
-            &ForbiddenPolicy::default(),
-            2,
-        )
-        .candidates
-        {
+        for c in maxmiso(f, &dfg, BlockKey::new(FuncId(0), bid), 2).candidates {
             if c.outputs == 1
                 && best
                     .as_ref()
@@ -195,9 +188,8 @@ proptest! {
         let f = m.func(FuncId(0));
         for bid in f.block_ids() {
             let dfg = Dfg::build(f, bid);
-            let policy = ForbiddenPolicy::default();
-            let result = maxmiso(f, &dfg, BlockKey::new(FuncId(0), bid), &policy, 1);
-            let forbidden = policy.mask(&dfg);
+            let result = maxmiso(f, &dfg, BlockKey::new(FuncId(0), bid), 1);
+            let forbidden = mask(&dfg);
             let mut covered = vec![0u32; dfg.len()];
             for cand in &result.candidates {
                 prop_assert_eq!(cand.outputs, 1, "single output");
@@ -368,11 +360,7 @@ fn build_tiered(recipe: &ProgramRecipe, oob: bool) -> Module {
 /// the exact error string, and per-block profiles must be equal either way.
 fn assert_tiers_agree(m: &Module, args: &[Value], max_steps: u64) -> Result<(), TestCaseError> {
     let run = |tier: VmTier| {
-        let cfg = RunConfig {
-            max_steps,
-            ..RunConfig::default()
-        };
-        let mut vm = Interpreter::with_config(m, CostModel::ppc405(), cfg);
+        let mut vm = Interpreter::with_max_steps(m, max_steps);
         vm.set_tier(tier);
         let r = vm.run("main", args).map_err(|e| e.to_string());
         (r, vm.take_profile())
@@ -401,7 +389,7 @@ proptest! {
         // anywhere in the program, so the cut lands inside every op kind
         // (and between the halves of a fused pair); the trap point and
         // the partial profile must agree across tiers.
-        let max_steps = if cut { fuel } else { RunConfig::default().max_steps };
+        let max_steps = if cut { fuel } else { DEFAULT_MAX_STEPS };
         assert_tiers_agree(&m, &[Value::I(sel)], max_steps)?;
 
         // The optimized module reshapes blocks and phis; the tiers must
@@ -489,7 +477,7 @@ fn tier_trap_sanity() {
         ops: vec![(0, 3), (2, 5)],
         loop_iters: 5,
     };
-    let full = RunConfig::default().max_steps;
+    let full = DEFAULT_MAX_STEPS;
     let m = build_tiered(&recipe, false);
     for sel in [-4, 0, 1, 2, 5] {
         assert_tiers_agree(&m, &[Value::I(sel)], full).unwrap();
