@@ -15,15 +15,57 @@
 
 use crate::{Error, Result};
 
-/// CRC32 (IEEE polynomial, bitwise — framed payloads are small).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE CRC32 polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables, built at compile time: `CRC32_TABLES[0][b]` is the
+/// CRC register after shifting byte `b` through it, and
+/// `CRC32_TABLES[k][b]` the same followed by `k` zero bytes, so eight
+/// lookups advance the register by eight input bytes.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC32 (IEEE polynomial), table-driven eight bytes at a time.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][(lo >> 8 & 0xff) as usize]
+            ^ t[5][(lo >> 16 & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
 }
@@ -327,11 +369,43 @@ mod tests {
         assert!(dec.get_varu64().is_err());
     }
 
+    /// The bitwise CRC32 the table-driven one replaced: the oracle.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The canonical CRC-32/IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference() {
+        let mut rng = crate::rng::SplitMix64::new(0xC3C3);
+        let mut bytes = |n: usize| -> Vec<u8> { (0..n).map(|_| rng.next_u64() as u8).collect() };
+        // Every length up to eight full words, so each split between the
+        // eight-byte loop and the byte tail is covered.
+        for len in 0..=64 {
+            for _ in 0..8 {
+                let data = bytes(len);
+                assert_eq!(crc32(&data), crc32_bitwise(&data), "len {len}");
+            }
+        }
+        let big = bytes(1 << 20);
+        assert_eq!(crc32(&big), crc32_bitwise(&big));
+        // An unaligned start must not matter.
+        assert_eq!(crc32(&big[3..1003]), crc32_bitwise(&big[3..1003]));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! and the ICAP controller loads.
 
 use crate::fabric::Fabric;
+use crate::packed::Rows;
 use crate::place::Placement;
 use crate::route::RoutedDesign;
 use jitise_base::codec::Encoder;
@@ -43,30 +44,29 @@ pub fn bitgen(
     routed: &RoutedDesign,
     partial: bool,
 ) -> Bitstream {
+    let column = |tile: u32| fabric.xy(tile).0;
     // Group cells by column.
-    let mut col_cells: Vec<Vec<usize>> = vec![Vec::new(); fabric.width as usize];
-    for (i, _) in nl.cells.iter().enumerate() {
-        let (x, _) = fabric.xy(placement.cell_tile[i]);
-        col_cells[x as usize].push(i);
-    }
-    // Group routed edges by the column of their lower tile.
-    let mut col_edges: Vec<Vec<u32>> = vec![Vec::new(); fabric.width as usize];
-    for net in &routed.nets {
-        for &t in &net.tiles {
-            let (x, _) = fabric.xy(t);
-            col_edges[x as usize].push(t);
-        }
-    }
+    let col_cells = Rows::build(fabric.width as usize, || {
+        (0..nl.cells.len() as u32).map(|i| (column(placement.cell_tile[i as usize]), i))
+    });
+    // Group routed tiles by column.
+    let col_tiles = Rows::build(fabric.width as usize, || {
+        routed
+            .nets
+            .iter()
+            .flat_map(|net| net.tiles.iter().map(|&t| (column(t), t)))
+    });
 
     let mut payload = Encoder::new();
     let mut frames = 0u32;
     for x in 0..fabric.width as usize {
         frames += 1;
         payload.put_varu32(x as u32);
-        payload.put_varu32(col_cells[x].len() as u32);
-        for &ci in &col_cells[x] {
-            let c = &nl.cells[ci];
-            let (_, y) = fabric.xy(placement.cell_tile[ci]);
+        let cells = col_cells.row(x);
+        payload.put_varu32(cells.len() as u32);
+        for &ci in cells {
+            let c = &nl.cells[ci as usize];
+            let (_, y) = fabric.xy(placement.cell_tile[ci as usize]);
             payload.put_varu32(y);
             match c.kind {
                 CellKind::Lut4 { mask } => {
@@ -90,8 +90,9 @@ pub fn bitgen(
                 }
             }
         }
-        payload.put_varu32(col_edges[x].len() as u32);
-        for &t in &col_edges[x] {
+        let tiles = col_tiles.row(x);
+        payload.put_varu32(tiles.len() as u32);
+        for &t in tiles {
             payload.put_varu32(t);
         }
     }

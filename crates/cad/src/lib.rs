@@ -33,6 +33,7 @@ pub mod bitgen;
 pub mod fabric;
 pub mod flow;
 pub mod overlay;
+mod packed;
 pub mod place;
 pub mod route;
 pub mod sched;

@@ -13,6 +13,7 @@
 //! (`crates/cad/tests/place_oracle.rs`).
 
 use crate::fabric::{Fabric, SiteKind};
+use crate::packed::Rows;
 use jitise_base::rng::XorShift128Plus;
 use jitise_base::{Error, Result};
 use jitise_pivpav::{CellKind, Netlist, PortDir};
@@ -164,10 +165,10 @@ fn box_hpwl(b: &NetBox) -> u64 {
 /// module-port bits (pinned to the fabric edge, where the bus macros sit
 /// in a real PR design).
 struct Nets {
-    /// For each net: cell indices touching it, each once.
-    cells: Vec<Vec<u32>>,
-    /// For each net: fixed pin tiles (from module ports).
-    fixed: Vec<Vec<u32>>,
+    /// Row `net`: the cell indices touching it, each once.
+    cells: Rows,
+    /// Row `net`: its fixed pin tiles (from module ports).
+    fixed: Rows,
     /// `[x, y]` of every tile.
     xy: Vec<[u32; 2]>,
 }
@@ -175,20 +176,15 @@ struct Nets {
 impl Nets {
     fn new(fabric: &Fabric, nl: &Netlist) -> Nets {
         let n = nl.num_nets as usize;
-        let mut cells = vec![Vec::new(); n];
-        let mut fixed = vec![Vec::new(); n];
-        for (i, c) in nl.cells.iter().enumerate() {
-            cells[c.output as usize].push(i as u32);
-            for &inp in &c.inputs {
-                cells[inp as usize].push(i as u32);
-            }
-        }
-        for (net, tile) in port_pins(fabric, nl) {
-            fixed[net as usize].push(tile);
-        }
-        for c in cells.iter_mut() {
-            c.dedup();
-        }
+        let mut cells = Rows::build(n, || {
+            nl.cells.iter().zip(0u32..).flat_map(|(c, i)| {
+                std::iter::once(c.output)
+                    .chain(c.inputs.iter().copied())
+                    .map(move |net| (net, i))
+            })
+        });
+        cells.dedup();
+        let fixed = Rows::build(n, || port_pins(fabric, nl));
         let xy = (0..fabric.num_tiles())
             .map(|t| {
                 let (x, y) = fabric.xy(t);
@@ -200,10 +196,12 @@ impl Nets {
 
     /// The bounding box of `net`, scanning every pin.
     fn scan(&self, placement: &[u32], net: usize) -> NetBox {
-        let mut tiles = self.cells[net]
+        let mut tiles = self
+            .cells
+            .row(net)
             .iter()
             .map(|&c| placement[c as usize])
-            .chain(self.fixed[net].iter().copied());
+            .chain(self.fixed.row(net).iter().copied());
         let Some(first) = tiles.next() else {
             return NetBox::default();
         };
@@ -298,13 +296,13 @@ pub fn place(fabric: &Fabric, nl: &Netlist, effort: PlaceEffort, seed: u64) -> R
     let mut moves = 0u64;
     let mut accepted = 0u64;
 
-    // Nets touched by a cell, for incremental cost evaluation.
-    let mut cell_nets: Vec<Vec<u32>> = vec![Vec::new(); nl.cells.len()];
-    for (net, cells) in nets.cells.iter().enumerate() {
-        for &c in cells {
-            cell_nets[c as usize].push(net as u32);
-        }
-    }
+    // Row `cell`: the nets touching it, for incremental cost evaluation.
+    let cell_nets = Rows::build(nl.cells.len(), || {
+        nets.cells
+            .iter()
+            .zip(0u32..)
+            .flat_map(|(cells, net)| cells.iter().map(move |&c| (c, net)))
+    });
     // The moved cell's net boxes after the move, parallel to its nets.
     let mut moved: Vec<NetBox> = Vec::new();
 
@@ -336,7 +334,7 @@ pub fn place(fabric: &Fabric, nl: &Netlist, effort: PlaceEffort, seed: u64) -> R
             let mut before = 0u64;
             let mut after = 0u64;
             moved.clear();
-            for &n in &cell_nets[cell] {
+            for &n in cell_nets.row(cell) {
                 let old = &boxes[n as usize];
                 let mut b = *old;
                 if !(b[0].shift(fx, tx) && b[1].shift(fy, ty)) {
@@ -353,7 +351,7 @@ pub fn place(fabric: &Fabric, nl: &Netlist, effort: PlaceEffort, seed: u64) -> R
                 occupancy[target as usize] += 1;
                 cost = (cost as i64 + delta) as u64;
                 accepted += 1;
-                for (&n, b) in cell_nets[cell].iter().zip(&moved) {
+                for (&n, b) in cell_nets.row(cell).iter().zip(&moved) {
                     boxes[n as usize] = *b;
                 }
             } else {

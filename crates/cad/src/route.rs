@@ -16,6 +16,7 @@
 //! (`crates/cad/tests/route_oracle.rs`).
 
 use crate::fabric::Fabric;
+use crate::packed::Rows;
 use crate::place::{port_pins, Placement};
 use jitise_base::{Error, Result};
 use jitise_pivpav::Netlist;
@@ -65,28 +66,28 @@ impl RouteEffort {
     }
 }
 
-/// Terminal tiles of every net (driver + sinks + fixed port pins).
-fn net_terminals(fabric: &Fabric, nl: &Netlist, placement: &Placement) -> Vec<Vec<u32>> {
-    let mut terminals = vec![Vec::new(); nl.num_nets as usize];
-    for (i, c) in nl.cells.iter().enumerate() {
-        let t = placement.cell_tile[i];
-        terminals[c.output as usize].push(t);
-        for &inp in &c.inputs {
-            terminals[inp as usize].push(t);
-        }
-    }
-    for (net, tile) in port_pins(fabric, nl) {
-        terminals[net as usize].push(tile);
-    }
-    for t in terminals.iter_mut() {
-        t.sort_unstable();
-        t.dedup();
-    }
+/// Terminal tiles of every net (driver + sinks + fixed port pins), row
+/// `net` sorted and without repeats.
+fn net_terminals(fabric: &Fabric, nl: &Netlist, placement: &Placement) -> Rows {
+    let mut terminals = Rows::build(nl.num_nets as usize, || {
+        nl.cells
+            .iter()
+            .enumerate()
+            .flat_map(|(i, c)| {
+                let t = placement.cell_tile[i];
+                std::iter::once(c.output)
+                    .chain(c.inputs.iter().copied())
+                    .map(move |net| (net, t))
+            })
+            .chain(port_pins(fabric, nl))
+    });
+    terminals.sort_rows();
+    terminals.dedup();
     terminals
 }
 
 /// `(neighbor, edge id)` pairs of every tile in [`Fabric::neighbors`]
-/// order, packed tile after tile.
+/// order (west, east, south, north), packed tile after tile.
 struct Adjacency {
     /// `links[start[t]..start[t + 1]]` are tile `t`'s pairs.
     start: Vec<u32>,
@@ -94,17 +95,33 @@ struct Adjacency {
 }
 
 impl Adjacency {
+    /// Computes every tile's neighbours and edge ids from its coordinates,
+    /// with the numbering of [`Fabric::tile_at`] and [`Fabric::edge_id`]:
+    /// horizontal edge `(x, y)`–`(x + 1, y)` is `y * (width - 1) + x`, and
+    /// vertical edge `(x, y)`–`(x, y + 1)` follows every horizontal one at
+    /// `y * width + x`.
     fn new(fabric: &Fabric) -> Adjacency {
+        let (w, h) = (fabric.width, fabric.height);
+        let vertical = h * (w - 1);
         let mut start = Vec::with_capacity(fabric.num_tiles() as usize + 1);
         let mut links = Vec::with_capacity(2 * fabric.num_edges() as usize);
-        for t in 0..fabric.num_tiles() {
-            start.push(links.len() as u32);
-            links.extend(
-                fabric
-                    .neighbors(t)
-                    .into_iter()
-                    .map(|nb| (nb, fabric.edge_id(t, nb))),
-            );
+        for y in 0..h {
+            for x in 0..w {
+                let t = fabric.tile_at(x, y);
+                start.push(links.len() as u32);
+                if x > 0 {
+                    links.push((t - 1, y * (w - 1) + x - 1));
+                }
+                if x + 1 < w {
+                    links.push((t + 1, y * (w - 1) + x));
+                }
+                if y > 0 {
+                    links.push((t - w, vertical + (y - 1) * w + x));
+                }
+                if y + 1 < h {
+                    links.push((t + w, vertical + y * w + x));
+                }
+            }
         }
         start.push(links.len() as u32);
         Adjacency { start, links }
@@ -288,6 +305,9 @@ struct Scratch {
     pending: Vec<u64>,
     heap: BinaryHeap<Reverse<u128>>,
     wave: Wavefront,
+    /// The current net's route, grown here and copied out at its final
+    /// length.
+    net: RoutedNet,
 }
 
 impl Scratch {
@@ -303,16 +323,18 @@ impl Scratch {
             pending: vec![0; wave.words],
             heap: BinaryHeap::new(),
             wave,
+            net: RoutedNet::default(),
         }
     }
 
-    /// Uniform-cost search from every tree tile to the first pending
-    /// terminal it pops: Dijkstra keyed by [`key`] with ties broken by
-    /// tile id, one `u128` heap entry `key << 32 | tile` per push.
-    fn dijkstra(&mut self, adj: &Adjacency, tree: &[u32], cost: &EdgeCost) -> Option<u32> {
+    /// Uniform-cost search from every tile of the current net's tree to
+    /// the first pending terminal it pops: Dijkstra keyed by [`key`] with
+    /// ties broken by tile id, one `u128` heap entry `key << 32 | tile` per
+    /// push.
+    fn dijkstra(&mut self, adj: &Adjacency, cost: &EdgeCost) -> Option<u32> {
         self.search += 1;
         self.heap.clear();
-        for &t in tree {
+        for &t in &self.net.tiles {
             self.reached[t as usize] = self.search;
             self.dist[t as usize] = 0.0;
             self.heap.push(Reverse(t as u128));
@@ -342,32 +364,28 @@ impl Scratch {
     }
 }
 
-/// Routes one net as a BFS-grown Steiner tree. `cost` is `None` when every
-/// edge costs exactly 1.0.
-fn route_net(
-    adj: &Adjacency,
-    terminals: &[u32],
-    cost: Option<&EdgeCost>,
-    s: &mut Scratch,
-) -> RoutedNet {
-    let mut out = RoutedNet::default();
+/// Routes one net as a BFS-grown Steiner tree into `s.net`. `cost` is
+/// `None` when every edge costs exactly 1.0.
+fn route_net(adj: &Adjacency, terminals: &[u32], cost: Option<&EdgeCost>, s: &mut Scratch) {
+    s.net.edges.clear();
+    s.net.tiles.clear();
     if terminals.len() < 2 {
-        out.tiles = terminals.to_vec();
-        return out;
+        s.net.tiles.extend_from_slice(terminals);
+        return;
     }
     // Grow a tree: start from the first terminal; repeatedly search from
     // the current tree to the nearest unconnected terminal.
     s.tree.fill(0);
     s.pending.fill(0);
     insert(&mut s.tree, terminals[0]);
-    out.tiles.push(terminals[0]);
+    s.net.tiles.push(terminals[0]);
     for &t in &terminals[1..] {
         insert(&mut s.pending, t);
     }
     for _ in 1..terminals.len() {
         let reached = match cost {
             None => s.wave.search(adj, &s.tree, &s.pending, &mut s.prev),
-            Some(cost) => s.dijkstra(adj, &out.tiles, cost),
+            Some(cost) => s.dijkstra(adj, cost),
         };
         let target = match reached {
             Some(t) => t,
@@ -378,14 +396,13 @@ fn route_net(
         let mut cur = target;
         while !contains(&s.tree, cur) {
             insert(&mut s.tree, cur);
-            out.tiles.push(cur);
+            s.net.tiles.push(cur);
             let (p, e) = s.prev[cur as usize];
-            out.edges.push(e);
+            s.net.edges.push(e);
             cur = p;
         }
         s.pending[target as usize / 64] &= !(1 << (target % 64));
     }
-    out
 }
 
 /// Routes every net of a placed design.
@@ -416,28 +433,24 @@ pub fn route(
         // iteration, so there every edge costs exactly 1.0 until one
         // overflows.
         let mut over_edges = 0u32;
-        for (net, terms) in terminals.iter().enumerate() {
-            if terms.len() < 2 {
-                result_nets[net] = RoutedNet {
-                    edges: vec![],
-                    tiles: terms.clone(),
-                };
-                continue;
-            }
+        for (terms, routed) in terminals.iter().zip(result_nets.iter_mut()) {
             let cost = EdgeCost {
                 history: &history,
                 occupancy: &occupancy,
                 channel_width,
             };
             let uniform = iter == 0 && over_edges == 0;
-            let routed = route_net(&adj, terms, (!uniform).then_some(&cost), &mut scratch);
+            route_net(&adj, terms, (!uniform).then_some(&cost), &mut scratch);
+            // Copied at its final length; later iterations reuse the copy's
+            // buffers.
+            routed.edges.clone_from(&scratch.net.edges);
+            routed.tiles.clone_from(&scratch.net.tiles);
             for &e in &routed.edges {
                 occupancy[e as usize] += 1;
                 if occupancy[e as usize] == channel_width + 1 {
                     over_edges += 1;
                 }
             }
-            result_nets[net] = routed;
         }
         overflow = occupancy.iter().filter(|&&o| o > channel_width).count() as u32;
         max_occ = occupancy.iter().copied().max().unwrap_or(0);
@@ -585,7 +598,7 @@ mod tests {
         let (fabric, nl, p, r) = routed_fixture(60);
         let terminals = net_terminals(&fabric, &nl, &p);
         let net = (0..r.nets.len())
-            .find(|&n| terminals[n].len() >= 2 && !r.nets[n].edges.is_empty())
+            .find(|&n| terminals.row(n).len() >= 2 && !r.nets[n].edges.is_empty())
             .expect("some net needs wire");
 
         let mut cut = r.clone();
@@ -594,7 +607,9 @@ mod tests {
         assert!(err.to_string().contains("disconnected"), "{err}");
 
         let mut dropped = r.clone();
-        dropped.nets[net].tiles.retain(|t| *t != terminals[net][1]);
+        dropped.nets[net]
+            .tiles
+            .retain(|t| *t != terminals.row(net)[1]);
         let err = check_connected(&fabric, &nl, &p, &dropped).unwrap_err();
         assert!(err.to_string().contains("not in routing tree"), "{err}");
 

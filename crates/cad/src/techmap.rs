@@ -12,7 +12,7 @@
 //! construction.
 
 use jitise_base::{Error, Result};
-use jitise_pivpav::{CadProject, Cell, CellKind, Netlist, PortDir};
+use jitise_pivpav::{CadProject, CellKind, Netlist, PortDir};
 
 /// Union–find over net ids.
 struct NetUnion {
@@ -124,29 +124,25 @@ pub fn synthesize_top(project: &CadProject) -> Result<Netlist> {
         class_of[root as usize]
     }
 
-    let mut cells = Vec::with_capacity(top.cells.len());
+    // The absorbed cells are renumbered in place, each output before its
+    // inputs: `resolve` numbers the classes in the order it meets them.
+    let mut cells = std::mem::take(&mut top.cells);
     let mut driver_seen = std::collections::HashSet::new();
-    for c in &top.cells {
+    for c in &mut cells {
         let out = resolve(&mut uf, &mut class_of, &mut next, c.output);
         // Single-driver: if two absorbed cells drive aliased nets (possible
         // when a port net is internally driven), insert no duplicate —
         // first driver wins, later ones become buffers driving fresh nets.
-        let output = if driver_seen.insert(out) {
+        c.output = if driver_seen.insert(out) {
             out
         } else {
             let fresh = next;
             next += 1;
             fresh
         };
-        cells.push(Cell {
-            kind: c.kind,
-            inputs: c
-                .inputs
-                .iter()
-                .map(|&n| resolve(&mut uf, &mut class_of, &mut next, n))
-                .collect(),
-            output,
-        });
+        for n in &mut c.inputs {
+            *n = resolve(&mut uf, &mut class_of, &mut next, *n);
+        }
     }
 
     // Top-level ports: module inputs and outputs.

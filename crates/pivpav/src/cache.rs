@@ -7,7 +7,7 @@
 //! the JIT runtime implements multiple concurrent specialization workers
 //! (§VI-B suggests running "the FPGA tool concurrently").
 
-use crate::db::{CircuitDb, CoreRecord};
+use crate::db::CoreRecord;
 use crate::netlist::Netlist;
 use jitise_base::sync::RwLock;
 use std::collections::HashMap;
@@ -17,8 +17,6 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct NetlistCache {
     map: RwLock<HashMap<String, Arc<Netlist>>>,
-    hits: RwLock<u64>,
-    misses: RwLock<u64>,
 }
 
 impl NetlistCache {
@@ -27,28 +25,20 @@ impl NetlistCache {
         Self::default()
     }
 
-    /// Fetches the netlist of `core`, loading it from the database on a
-    /// miss. Returns the netlist and whether this was a miss.
-    pub fn fetch(&self, _db: &CircuitDb, core: &Arc<CoreRecord>) -> (Arc<Netlist>, bool) {
+    /// Fetches the netlist of `core`, extracting it from its database
+    /// record on a miss. Returns the netlist and whether this was a miss.
+    pub fn fetch(&self, core: &Arc<CoreRecord>) -> (Arc<Netlist>, bool) {
         if let Some(nl) = self.map.read().get(&core.name) {
-            *self.hits.write() += 1;
             return (nl.clone(), false);
         }
         let mut map = self.map.write();
         // Double-checked: another thread may have inserted meanwhile.
         if let Some(nl) = map.get(&core.name) {
-            *self.hits.write() += 1;
             return (nl.clone(), false);
         }
         let nl = core.netlist.clone();
         map.insert(core.name.clone(), nl.clone());
-        *self.misses.write() += 1;
         (nl, true)
-    }
-
-    /// `(hits, misses)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (*self.hits.read(), *self.misses.read())
     }
 
     /// Number of cached netlists.
@@ -64,14 +54,13 @@ impl NetlistCache {
     /// Drops all cached entries (for experiment isolation).
     pub fn clear(&self) {
         self.map.write().clear();
-        *self.hits.write() = 0;
-        *self.misses.write() = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::CircuitDb;
     use jitise_ir::{BinOp, Opcode, Type};
 
     #[test]
@@ -79,12 +68,11 @@ mod tests {
         let db = CircuitDb::build();
         let cache = NetlistCache::new();
         let core = db.lookup(Opcode::Bin(BinOp::Add), Type::I32).unwrap();
-        let (nl1, miss1) = cache.fetch(&db, &core);
+        let (nl1, miss1) = cache.fetch(&core);
         assert!(miss1);
-        let (nl2, miss2) = cache.fetch(&db, &core);
+        let (nl2, miss2) = cache.fetch(&core);
         assert!(!miss2);
         assert!(Arc::ptr_eq(&nl1, &nl2));
-        assert_eq!(cache.stats(), (1, 1));
         assert_eq!(cache.len(), 1);
     }
 
@@ -94,8 +82,8 @@ mod tests {
         let cache = NetlistCache::new();
         let add = db.lookup(Opcode::Bin(BinOp::Add), Type::I32).unwrap();
         let mul = db.lookup(Opcode::Bin(BinOp::Mul), Type::I32).unwrap();
-        cache.fetch(&db, &add);
-        cache.fetch(&db, &mul);
+        cache.fetch(&add);
+        cache.fetch(&mul);
         assert_eq!(cache.len(), 2);
     }
 
@@ -104,37 +92,34 @@ mod tests {
         let db = CircuitDb::build();
         let cache = NetlistCache::new();
         let core = db.lookup(Opcode::Bin(BinOp::Xor), Type::I16).unwrap();
-        cache.fetch(&db, &core);
+        cache.fetch(&core);
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.stats(), (0, 0));
-        let (_, miss) = cache.fetch(&db, &core);
+        let (_, miss) = cache.fetch(&core);
         assert!(miss);
     }
 
     #[test]
     fn concurrent_fetches_are_safe() {
-        let db = Arc::new(CircuitDb::build());
+        let db = CircuitDb::build();
         let cache = Arc::new(NetlistCache::new());
         let core = db.lookup(Opcode::Bin(BinOp::Mul), Type::I64).unwrap();
         let handles: Vec<_> = (0..8)
             .map(|_| {
-                let db = db.clone();
                 let cache = cache.clone();
                 let core = core.clone();
                 std::thread::spawn(move || {
+                    let mut misses = 0;
                     for _ in 0..100 {
-                        let (nl, _) = cache.fetch(&db, &core);
+                        let (nl, miss) = cache.fetch(&core);
                         assert_eq!(nl.validate(), Ok(()));
+                        misses += miss as u32;
                     }
+                    misses
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let (hits, misses) = cache.stats();
-        assert_eq!(hits + misses, 800);
+        let misses: u32 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(misses, 1, "exactly one thread loads the core");
     }
 }

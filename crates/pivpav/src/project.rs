@@ -123,7 +123,7 @@ pub fn create_project_with(
     let mut netlists = Vec::with_capacity(vhdl.instances.len());
     let mut misses = 0usize;
     for inst in &vhdl.instances {
-        let (nl, was_miss) = cache.fetch(db, &inst.core);
+        let (nl, was_miss) = cache.fetch(&inst.core);
         if was_miss {
             misses += 1;
         }

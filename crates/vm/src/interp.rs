@@ -967,6 +967,78 @@ mod tests {
         assert!(vm.ci_binding.is_none());
     }
 
+    /// `peek(off)` loads the byte at `table + off`, `poke(off, v)` stores
+    /// `v` there and loads it back, and `fresh()` loads the last word of a
+    /// new 64-byte alloca. `table` is the first global, at the null guard.
+    fn probe_module() -> Module {
+        let mut m = Module::new("probe");
+        let table = m.add_global(Global::of_i32("table", &[7, 9]));
+        let mut peek = FunctionBuilder::new("peek", vec![Type::I32], Type::I8);
+        let base = peek.global_addr(table);
+        let p = peek.gep(base, Op::Arg(0), 1);
+        let v = peek.load(Type::I8, p);
+        peek.ret(v);
+        m.add_func(peek.finish());
+        let mut poke = FunctionBuilder::new("poke", vec![Type::I32, Type::I8], Type::I8);
+        let base = poke.global_addr(table);
+        let p = poke.gep(base, Op::Arg(0), 1);
+        poke.store(Op::Arg(1), p);
+        let v = poke.load(Type::I8, p);
+        poke.ret(v);
+        m.add_func(poke.finish());
+        let mut fresh = FunctionBuilder::new("fresh", vec![], Type::I64);
+        let p = fresh.alloca(64);
+        let last = fresh.gep(p, Op::ci32(7), 8);
+        let v = fresh.load(Type::I64, last);
+        fresh.ret(v);
+        m.add_func(fresh.finish());
+        m
+    }
+
+    /// Memory that grows on first touch looks, on both tiers, like memory
+    /// zeroed up front: never-stored stack bytes read 0, the last byte
+    /// below the limit holds a store, and one byte past the limit and the
+    /// null page trap with the messages of eagerly zeroed memory.
+    #[test]
+    fn lazily_grown_memory_is_tier_identical() {
+        let m = probe_module();
+        // `table` sits at 0x1000 and ends at 0x1008; the stack starts at
+        // the next 16-byte boundary and holds `STACK_BYTES`.
+        let limit: i64 = 0x1010 + STACK_BYTES as i64;
+        let off = |addr: i64| Value::I(addr - 0x1000);
+        for tier in [VmTier::Interp, VmTier::Fast] {
+            let mut vm = Interpreter::new(&m);
+            vm.set_tier(tier);
+            assert_eq!(vm.mem.size() as i64, limit);
+            let ret = |out: Result<ExecOutcome>| out.map(|o| o.ret);
+            assert_eq!(ret(vm.run("fresh", &[])), Ok(Some(Value::I(0))));
+            assert_eq!(
+                ret(vm.run("peek", &[off(limit - 1)])),
+                Ok(Some(Value::I(0)))
+            );
+            assert_eq!(
+                ret(vm.run("poke", &[off(limit - 1), Value::I(-3)])),
+                Ok(Some(Value::I(-3)))
+            );
+            assert_eq!(
+                ret(vm.run("peek", &[off(limit - 1)])),
+                Ok(Some(Value::I(-3)))
+            );
+            assert_eq!(ret(vm.run("peek", &[off(0x1004)])), Ok(Some(Value::I(9))));
+            let past = "vm: out-of-bounds access at 0x101010+1 (mem size 0x101010)";
+            for (f, args) in [
+                ("peek", vec![off(limit)]),
+                ("poke", vec![off(limit), Value::I(1)]),
+            ] {
+                let err = vm.run(f, &args).unwrap_err();
+                assert_eq!(err.to_string(), past, "{f} on {tier:?}");
+            }
+            let err = vm.run("peek", &[off(0xff8)]).unwrap_err();
+            assert_eq!(err.to_string(), "vm: null-page access at 0xff8", "{tier:?}");
+            assert_eq!(vm.mem.size() as i64, limit);
+        }
+    }
+
     #[test]
     fn stack_released_between_calls() {
         let mut m = Module::new("t");

@@ -10,6 +10,10 @@
 //! ```
 //!
 //! Loads and stores are bounds-checked; address 0 faults (null deref).
+//! Only the touched prefix of the address space is held: a VM starts with
+//! its initialized globals, and an access past the held bytes but inside
+//! the limit grows them zero-filled, so an unwritten byte reads 0 exactly
+//! as if the whole space had been zeroed up front.
 
 use crate::value::Value;
 use jitise_base::{Error, Result};
@@ -21,7 +25,10 @@ const NULL_GUARD: u32 = 0x1000;
 /// Flat memory with global segment and an upward-growing alloca stack.
 #[derive(Debug, Clone)]
 pub struct Memory {
+    /// Addresses `0..bytes.len()`; everything above reads as zero.
     bytes: Vec<u8>,
+    /// One past the highest valid address (globals plus the stack).
+    limit: u32,
     global_base: Vec<u32>,
     stack_base: u32,
     stack_ptr: u32,
@@ -41,13 +48,20 @@ impl Memory {
         }
         cursor = (cursor + 15) & !15;
         let stack_base = cursor;
-        let total = cursor + stack_bytes;
-        let mut bytes = vec![0u8; total as usize];
+        let initialized = m
+            .globals
+            .iter()
+            .zip(&global_base)
+            .map(|(g, &base)| base as usize + g.init.len())
+            .max()
+            .unwrap_or(0);
+        let mut bytes = vec![0u8; initialized];
         for (g, &base) in m.globals.iter().zip(&global_base) {
             bytes[base as usize..base as usize + g.init.len()].copy_from_slice(&g.init);
         }
         Memory {
             bytes,
+            limit: cursor + stack_bytes,
             global_base,
             stack_base,
             stack_ptr: stack_base,
@@ -74,7 +88,7 @@ impl Memory {
     pub fn alloca(&mut self, bytes: u32) -> Result<u32> {
         let addr = (self.stack_ptr + 7) & !7;
         let end = addr as u64 + bytes as u64;
-        if end > self.bytes.len() as u64 {
+        if end > self.limit as u64 {
             return Err(Error::Vm(format!(
                 "stack overflow: alloca of {bytes} bytes at {addr:#x}"
             )));
@@ -83,18 +97,35 @@ impl Memory {
         Ok(addr)
     }
 
-    fn check(&self, addr: u32, len: u32) -> Result<usize> {
+    fn check(&mut self, addr: u32, len: u32) -> Result<usize> {
         if addr < NULL_GUARD {
             return Err(Error::Vm(format!("null-page access at {addr:#x}")));
         }
         let end = addr as u64 + len as u64;
         if end > self.bytes.len() as u64 {
-            return Err(Error::Vm(format!(
-                "out-of-bounds access at {addr:#x}+{len} (mem size {:#x})",
-                self.bytes.len()
-            )));
+            self.grow(addr, len)?;
         }
         Ok(addr as usize)
+    }
+
+    /// The cold side of [`Memory::check`]: fails an access that ends past
+    /// the limit, else zero-fills the held bytes up to at least `end`
+    /// (doubling, so a run that touches `n` bytes grows `O(log n)` times).
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, addr: u32, len: u32) -> Result<()> {
+        let end = addr as u64 + len as u64;
+        if end > self.limit as u64 {
+            return Err(Error::Vm(format!(
+                "out-of-bounds access at {addr:#x}+{len} (mem size {:#x})",
+                self.limit
+            )));
+        }
+        let len = (end as usize)
+            .max(2 * self.bytes.len())
+            .min(self.limit as usize);
+        self.bytes.resize(len, 0);
+        Ok(())
     }
 
     /// Fixed-width raw load for the fast tier: a compile-time `N` lets the
@@ -102,7 +133,7 @@ impl Memory {
     /// `memcpy`. Same bounds/null checks and little-endian packing as
     /// [`Memory::load`].
     #[inline(always)]
-    pub(crate) fn load_bytes<const N: usize>(&self, addr: u32) -> Result<u64> {
+    pub(crate) fn load_bytes<const N: usize>(&mut self, addr: u32) -> Result<u64> {
         let at = self.check(addr, N as u32)?;
         let mut buf = [0u8; 8];
         buf[..N].copy_from_slice(&self.bytes[at..at + N]);
@@ -118,7 +149,7 @@ impl Memory {
     }
 
     /// Typed load.
-    pub fn load(&self, ty: Type, addr: u32) -> Result<Value> {
+    pub fn load(&mut self, ty: Type, addr: u32) -> Result<Value> {
         let size = ty.byte_size().max(1);
         let at = self.check(addr, size)?;
         let raw = {
@@ -149,9 +180,9 @@ impl Memory {
         Ok(())
     }
 
-    /// Total memory size in bytes.
+    /// Total memory size in bytes (the limit, held or not).
     pub fn size(&self) -> usize {
-        self.bytes.len()
+        self.limit as usize
     }
 }
 
@@ -169,7 +200,7 @@ mod tests {
 
     #[test]
     fn globals_initialized_and_aligned() {
-        let (mem, _) = mem_with_globals();
+        let (mut mem, _) = mem_with_globals();
         let a = mem.global_addr(0);
         let b = mem.global_addr(1);
         assert!(a >= NULL_GUARD);
@@ -207,7 +238,7 @@ mod tests {
 
     #[test]
     fn null_access_faults() {
-        let (mem, _) = mem_with_globals();
+        let (mut mem, _) = mem_with_globals();
         assert!(mem.load(Type::I32, 0).is_err());
         assert!(mem.load(Type::I32, 100).is_err());
     }
